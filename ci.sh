@@ -12,15 +12,17 @@ echo "== cargo clippy --workspace -D warnings -D deprecated =="
 # functions: everything must go through ProfileReport.
 cargo clippy --workspace --all-targets -- -D warnings -D deprecated
 
-echo "== tier-1: cargo build --release && cargo test -q =="
+# --workspace: the crate tests (kernel oracles, op-list bit identity,
+# checkpoint validation, IOS lowering) run here, not only the root package.
+echo "== tier-1: cargo build --release && cargo test -q --workspace =="
 cargo build --release
-cargo test -q
+cargo test -q --workspace
 
 # The rayon shim runs a real thread pool; the whole suite must also pass
 # with the pool pinned sequential (RAYON_NUM_THREADS=1), and the parallel
 # equivalence tests assert both modes produce bit-identical results.
 echo "== tier-1 again, pool pinned sequential (RAYON_NUM_THREADS=1) =="
-RAYON_NUM_THREADS=1 cargo test -q
+RAYON_NUM_THREADS=1 cargo test -q --workspace
 
 echo "== kernel equivalence under a pinned-sequential pool =="
 RAYON_NUM_THREADS=1 cargo test -q -p dcd-tensor --test parallel_equivalence

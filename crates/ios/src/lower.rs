@@ -3,10 +3,11 @@
 //! [`SppNetConfig`]: dcd_nn::SppNetConfig
 
 use crate::graph::{Graph, OpKind};
-use dcd_nn::SppNetConfig;
+use dcd_nn::{OpKind as NnOp, SppNetConfig};
 
 /// Lowers an SPP-Net configuration to the operator graph the scheduler and
-/// the GPU simulator consume.
+/// the GPU simulator consume, by converting its op list
+/// ([`SppNetConfig::ops`]) op for op.
 ///
 /// `input_hw` is the patch size (the paper uses 100×100). The resulting DAG
 /// is the conv backbone chain, the parallel SPP pyramid branches converging
@@ -17,128 +18,59 @@ use dcd_nn::SppNetConfig;
 /// in → c1 → r → p → c2 → r → p → c3 → r → p →  {spp_a, spp_b, spp_c} →
 ///   concat → fc1 → r [→ fc2 → r] → {head_obj, head_box} → out
 /// ```
+///
+/// Panics if `config` is invalid (see [`SppNetConfig::ops`]).
 pub fn lower_sppnet(config: &SppNetConfig, input_hw: (usize, usize)) -> Graph {
+    let ops = config
+        .ops()
+        .unwrap_or_else(|e| panic!("invalid SppNetConfig: {e}"));
     let mut g = Graph::new();
-    let [c1, c2, c3] = config.channels;
-    let input = g.add_input("input", (config.in_channels, input_hw.0, input_hw.1));
-
-    let conv1 = g.add(
-        "conv1",
-        OpKind::Conv {
-            c_in: config.in_channels,
-            c_out: c1,
-            kernel: config.conv1_kernel,
-            stride: 1,
-            pad: config.conv1_kernel / 2,
-        },
-        vec![input],
-    );
-    let relu1 = g.add("relu1", OpKind::Relu, vec![conv1]);
-    let pool1 = g.add(
-        "pool1",
-        OpKind::MaxPool {
-            kernel: 2,
-            stride: 2,
-        },
-        vec![relu1],
-    );
-    let conv2 = g.add(
-        "conv2",
-        OpKind::Conv {
-            c_in: c1,
-            c_out: c2,
-            kernel: 3,
-            stride: 1,
-            pad: 1,
-        },
-        vec![pool1],
-    );
-    let relu2 = g.add("relu2", OpKind::Relu, vec![conv2]);
-    let pool2 = g.add(
-        "pool2",
-        OpKind::MaxPool {
-            kernel: 2,
-            stride: 2,
-        },
-        vec![relu2],
-    );
-    let conv3 = g.add(
-        "conv3",
-        OpKind::Conv {
-            c_in: c2,
-            c_out: c3,
-            kernel: 3,
-            stride: 1,
-            pad: 1,
-        },
-        vec![pool2],
-    );
-    let relu3 = g.add("relu3", OpKind::Relu, vec![conv3]);
-    let pool3 = g.add(
-        "pool3",
-        OpKind::MaxPool {
-            kernel: 2,
-            stride: 2,
-        },
-        vec![relu3],
-    );
-
-    // SPP pyramid: one adaptive-pool branch per level — the branched block
-    // IOS parallelizes.
-    let branches: Vec<_> = config
-        .spp_levels()
-        .into_iter()
-        .map(|level| {
-            g.add(
-                format!("spp{level}"),
-                OpKind::AdaptivePool { out_size: level },
-                vec![pool3],
-            )
-        })
-        .collect();
-    let concat = g.add("spp_concat", OpKind::Concat, branches);
-
-    let fc1 = g.add(
-        "fc1",
-        OpKind::Gemm {
-            in_f: config.spp_features(),
-            out_f: config.fc1,
-        },
-        vec![concat],
-    );
-    let mut trunk = g.add("fc1_relu", OpKind::Relu, vec![fc1]);
-    let mut trunk_features = config.fc1;
-    if let Some(f2) = config.fc2 {
-        let fc2 = g.add(
-            "fc2",
-            OpKind::Gemm {
-                in_f: trunk_features,
-                out_f: f2,
-            },
-            vec![trunk],
-        );
-        trunk = g.add("fc2_relu", OpKind::Relu, vec![fc2]);
-        trunk_features = f2;
+    let mut trunk = g.add_input("input", (config.in_channels, input_hw.0, input_hw.1));
+    let mut heads = Vec::new();
+    for op in ops {
+        match op.kind {
+            NnOp::Conv {
+                c_in,
+                c_out,
+                kernel,
+                stride,
+                pad,
+            } => {
+                let kind = OpKind::Conv {
+                    c_in,
+                    c_out,
+                    kernel,
+                    stride,
+                    pad,
+                };
+                trunk = g.add(op.name, kind, vec![trunk]);
+            }
+            NnOp::Relu => trunk = g.add(op.name, OpKind::Relu, vec![trunk]),
+            NnOp::MaxPool { kernel, stride } => {
+                trunk = g.add(op.name, OpKind::MaxPool { kernel, stride }, vec![trunk]);
+            }
+            NnOp::Spp { levels } => {
+                // One adaptive-pool branch per level — the branched block
+                // IOS parallelizes.
+                let branches = levels
+                    .into_iter()
+                    .map(|level| {
+                        let name = format!("{}{level}", op.name);
+                        g.add(name, OpKind::AdaptivePool { out_size: level }, vec![trunk])
+                    })
+                    .collect();
+                trunk = g.add(format!("{}_concat", op.name), OpKind::Concat, branches);
+            }
+            NnOp::Linear { in_f, out_f } => {
+                trunk = g.add(op.name, OpKind::Gemm { in_f, out_f }, vec![trunk]);
+            }
+            NnOp::Head { in_f, out_f } => {
+                // Detection heads: parallel GEMVs converging in the output.
+                heads.push(g.add(op.name, OpKind::Gemm { in_f, out_f }, vec![trunk]));
+            }
+        }
     }
-
-    // Detection heads: two parallel GEMVs converging in the output concat.
-    let head_obj = g.add(
-        "head_obj",
-        OpKind::Gemm {
-            in_f: trunk_features,
-            out_f: 1,
-        },
-        vec![trunk],
-    );
-    let head_box = g.add(
-        "head_box",
-        OpKind::Gemm {
-            in_f: trunk_features,
-            out_f: 4,
-        },
-        vec![trunk],
-    );
-    g.add("output", OpKind::Concat, vec![head_obj, head_box]);
+    g.add("output", OpKind::Concat, heads);
     g
 }
 
@@ -260,6 +192,41 @@ mod tests {
         let g = lower_sppnet(&SppNetConfig::original(), (100, 100));
         let out = g.ops.last().unwrap();
         assert_eq!(out.out_shape, (5, 1, 1)); // objectness + 4 box coords
+    }
+
+    /// FNV-1a fingerprint of every op's name, kind, inputs and output shape.
+    fn fingerprint(g: &Graph) -> u64 {
+        g.ops
+            .iter()
+            .map(|op| {
+                format!(
+                    "{} {:?} {:?} {:?}\n",
+                    op.name, op.kind, op.inputs, op.out_shape
+                )
+            })
+            .flat_map(String::into_bytes)
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
+    }
+
+    #[test]
+    fn table1_lowerings_are_pinned() {
+        // Recorded from the hand-written lowering the op-list conversion
+        // replaced: same names, kinds, wiring and shapes, op for op.
+        let got: Vec<u64> = SppNetConfig::table1()
+            .iter()
+            .map(|(_, cfg)| fingerprint(&lower_sppnet(cfg, (100, 100))))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                0xdd4d_599a_32af_c7de,
+                0xd209_8422_0008_5d63,
+                0x255f_20bb_dfbd_6a33,
+                0x5567_a717_e0d9_1796,
+            ]
+        );
     }
 
     #[test]

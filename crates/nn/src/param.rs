@@ -5,8 +5,8 @@ use serde::{Deserialize, Serialize};
 
 /// A trainable tensor with its gradient accumulator and momentum buffer.
 ///
-/// Layers own their `Param`s; the optimizer walks them through
-/// [`crate::layers::Layer::params_mut`].
+/// Each [`crate::Node`] owns its op's `Param`s; the optimizer walks them
+/// through [`crate::SppNet::params_mut`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Param {
     /// Current value.

@@ -1,12 +1,13 @@
 //! Model checkpointing: save/load SPP-Net weights.
 //!
 //! A checkpoint is the architecture config plus the parameter tensors in
-//! `params_mut()` order. Loading rebuilds the model from the config and
-//! copies the tensors in, so a checkpoint is portable across processes and
-//! (being JSON) across versions that keep the layer order stable.
+//! `params_mut()` order, which is op-list order. Loading validates the
+//! tensors against the config's op list before building anything, so a
+//! checkpoint is portable across processes and (being JSON) across versions
+//! that keep the op list stable.
 
-use crate::sppnet::{SppNet, SppNetConfig};
-use dcd_tensor::{SeededRng, Tensor};
+use crate::sppnet::{ConfigError, SppNet, SppNetConfig};
+use dcd_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
 /// A serializable model snapshot.
@@ -21,6 +22,8 @@ pub struct Checkpoint {
 /// Errors when restoring a checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CheckpointError {
+    /// The config does not describe a network.
+    Config(ConfigError),
     /// Parameter count differs from what the config's model expects.
     ParamCount {
         /// Parameters the model has.
@@ -38,6 +41,7 @@ pub enum CheckpointError {
 impl std::fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            CheckpointError::Config(e) => write!(f, "checkpoint config is invalid: {e}"),
             CheckpointError::ParamCount { expected, actual } => {
                 write!(
                     f,
@@ -62,26 +66,31 @@ impl Checkpoint {
         }
     }
 
-    /// Restores a model from the snapshot.
+    /// Restores a model from the snapshot. The config and every tensor
+    /// shape are checked against the op list before the model is built
+    /// from the checkpoint's tensors.
     pub fn load(&self) -> Result<SppNet, CheckpointError> {
-        // Seed irrelevant: every parameter is overwritten.
-        let mut rng = SeededRng::new(0);
-        let mut model = SppNet::new(self.config.clone(), &mut rng);
-        let mut params = model.params_mut();
-        if params.len() != self.params.len() {
+        let ops = self.config.ops().map_err(CheckpointError::Config)?;
+        let shapes: Vec<Vec<usize>> = ops.iter().flat_map(|op| op.param_shapes()).collect();
+        if shapes.len() != self.params.len() {
             return Err(CheckpointError::ParamCount {
-                expected: params.len(),
+                expected: shapes.len(),
                 actual: self.params.len(),
             });
         }
-        for (index, (dst, src)) in params.iter_mut().zip(self.params.iter()).enumerate() {
-            if dst.value.shape() != src.shape() {
-                return Err(CheckpointError::ParamShape { index });
-            }
-            dst.value = src.clone();
+        let mismatch = self
+            .params
+            .iter()
+            .zip(&shapes)
+            .position(|(t, s)| t.dims() != s);
+        if let Some(index) = mismatch {
+            return Err(CheckpointError::ParamShape { index });
         }
-        drop(params);
-        Ok(model)
+        Ok(SppNet::from_params(
+            self.config.clone(),
+            ops,
+            self.params.iter().cloned(),
+        ))
     }
 
     /// Serializes to JSON.
@@ -98,6 +107,7 @@ impl Checkpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcd_tensor::SeededRng;
 
     fn trained_ish_model() -> SppNet {
         let mut rng = SeededRng::new(33);
@@ -166,5 +176,62 @@ mod tests {
         assert_eq!(ckpt.config, cfg);
         let restored = ckpt.load().expect("valid");
         assert_eq!(restored.config, cfg);
+    }
+
+    #[test]
+    fn loaded_params_keep_decay_flags() {
+        let mut model = trained_ish_model();
+        let mut restored = Checkpoint::save(&mut model).load().expect("valid");
+        let flags =
+            |m: &mut SppNet| -> Vec<bool> { m.params_mut().iter().map(|p| p.decay).collect() };
+        assert_eq!(flags(&mut restored), flags(&mut model));
+    }
+
+    #[test]
+    fn zero_spp_top_level_is_a_typed_error() {
+        let mut ckpt = Checkpoint::save(&mut trained_ish_model());
+        ckpt.config.spp_top_level = 0;
+        assert_eq!(
+            ckpt.load().err(),
+            Some(CheckpointError::Config(ConfigError::Zero("spp_top_level")))
+        );
+    }
+
+    #[test]
+    fn zero_channel_width_is_a_typed_error() {
+        let mut ckpt = Checkpoint::save(&mut trained_ish_model());
+        ckpt.config.channels[1] = 0;
+        assert_eq!(
+            ckpt.load().err(),
+            Some(CheckpointError::Config(ConfigError::Zero("channels")))
+        );
+    }
+
+    #[test]
+    fn huge_fc1_is_rejected_before_allocating() {
+        // fc1 weights of 2^40 floats would need 4 TiB; the shape check
+        // must fail without building the model.
+        let mut ckpt = Checkpoint::save(&mut trained_ish_model());
+        ckpt.config.fc1 = 1 << 40;
+        assert!(matches!(
+            ckpt.load(),
+            Err(CheckpointError::ParamShape { index: 6 })
+        ));
+        ckpt.config.fc1 = usize::MAX;
+        assert_eq!(
+            ckpt.load().err(),
+            Some(CheckpointError::Config(ConfigError::Overflow("fc1")))
+        );
+    }
+
+    #[test]
+    fn truncated_tensor_json_is_an_error() {
+        let json = Checkpoint::save(&mut trained_ish_model()).to_json();
+        // Drop the last element of the first tensor's data array.
+        let start = json.find("\"data\":[").expect("data field") + "\"data\":[".len();
+        let end = start + json[start..].find(']').expect("end of data");
+        let cut = start + json[start..end].rfind(',').expect("several elements");
+        let truncated = format!("{}{}", &json[..cut], &json[end..]);
+        assert!(Checkpoint::from_json(&truncated).is_err());
     }
 }

@@ -12,14 +12,11 @@
 //! `∈ {128, 256, 512, 1024, 2048, 4096, 8192}`.
 
 use crate::detect::Detection;
-use crate::layers::{Conv2d, Layer, Linear, MaxPool2d, Relu, SppLayer};
 use crate::loss::sigmoid;
+use crate::op::{Node, Op, OpKind};
 use crate::param::Param;
 use crate::BBox;
-use dcd_tensor::{
-    adaptive_max_pool2d_values, conv2d_relu, gemm_bias, gemm_bias_relu, max_pool2d_values,
-    SeededRng, Tensor,
-};
+use dcd_tensor::{SeededRng, Tensor};
 use serde::{Deserialize, Serialize};
 
 /// Sizes explored for the fully-connected layers (§4.2).
@@ -141,7 +138,110 @@ impl SppNetConfig {
         }
         s
     }
+
+    /// The network as an ordered list of named ops: the one definition of
+    /// the architecture. Training, fused inference, IOS lowering and
+    /// checkpoint validation are all derived from it.
+    ///
+    /// The list is the conv backbone, `spp`, the FC trunk and the two heads:
+    ///
+    /// ```text
+    /// conv1 relu1 pool1 conv2 relu2 pool2 conv3 relu3 pool3 spp
+    ///   fc1 fc1_relu [fc2 fc2_relu] head_obj head_box
+    /// ```
+    ///
+    /// Fails if a width, kernel size or pyramid level is zero, or if a
+    /// layer's size overflows `usize`; nothing is allocated per weight.
+    pub fn ops(&self) -> Result<Vec<Op>, ConfigError> {
+        let [c1, c2, c3] = self.channels;
+        let sizes = [
+            ("in_channels", self.in_channels),
+            ("channels", c1.min(c2).min(c3)),
+            ("conv1_kernel", self.conv1_kernel),
+            ("spp_top_level", self.spp_top_level),
+            ("fc1", self.fc1),
+            ("fc2", self.fc2.unwrap_or(1)),
+        ];
+        if let Some((field, _)) = sizes.iter().find(|(_, size)| *size == 0) {
+            return Err(ConfigError::Zero(field));
+        }
+        let levels = self.spp_levels();
+        let spp_features = levels
+            .iter()
+            .try_fold(0usize, |bins, &l| bins.checked_add(l.checked_mul(l)?))
+            .and_then(|bins| bins.checked_mul(c3))
+            .ok_or(ConfigError::Overflow("spp"))?;
+
+        let op = |name, kind| Op { name, kind };
+        let relu = |name| op(name, OpKind::Relu);
+        let pool = |name| {
+            let (kernel, stride) = (2, 2);
+            op(name, OpKind::MaxPool { kernel, stride })
+        };
+        let conv = |name, c_in, c_out, kernel: usize| {
+            let (stride, pad) = (1, kernel / 2);
+            let kind = OpKind::Conv {
+                c_in,
+                c_out,
+                kernel,
+                stride,
+                pad,
+            };
+            op(name, kind)
+        };
+        let linear = |name, in_f, out_f| op(name, OpKind::Linear { in_f, out_f });
+        let head = |name, in_f, out_f| op(name, OpKind::Head { in_f, out_f });
+        let mut ops = vec![
+            conv("conv1", self.in_channels, c1, self.conv1_kernel),
+            relu("relu1"),
+            pool("pool1"),
+            conv("conv2", c1, c2, 3),
+            relu("relu2"),
+            pool("pool2"),
+            conv("conv3", c2, c3, 3),
+            relu("relu3"),
+            pool("pool3"),
+            op("spp", OpKind::Spp { levels }),
+            linear("fc1", spp_features, self.fc1),
+            relu("fc1_relu"),
+        ];
+        let mut trunk = self.fc1;
+        if let Some(f2) = self.fc2 {
+            ops.extend([linear("fc2", trunk, f2), relu("fc2_relu")]);
+            trunk = f2;
+        }
+        ops.extend([head("head_obj", trunk, 1), head("head_box", trunk, 4)]);
+        for op in &ops {
+            for shape in op.param_shapes() {
+                shape
+                    .iter()
+                    .try_fold(1usize, |n, &d| n.checked_mul(d))
+                    .ok_or(ConfigError::Overflow(op.name))?;
+            }
+        }
+        Ok(ops)
+    }
 }
+
+/// Why an [`SppNetConfig`] does not describe a network.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ConfigError {
+    /// The named size is zero.
+    Zero(&'static str),
+    /// The named op's size overflows `usize`.
+    Overflow(&'static str),
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ConfigError::Zero(field) => write!(f, "`{field}` must be positive"),
+            ConfigError::Overflow(op) => write!(f, "`{op}` is too large"),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 /// Output of one detection forward pass.
 #[derive(Debug, Clone)]
@@ -152,131 +252,129 @@ pub struct DetectionOutput {
     pub boxes: Tensor,
 }
 
-/// The SPP-Net model: three conv blocks, an SPP layer and an FC trunk with
-/// objectness + box heads.
+impl DetectionOutput {
+    /// Assembles the output from the heads' outputs in list order:
+    /// objectness `[N, 1]`, then boxes `[N, 4]`.
+    fn from_heads(heads: Vec<Tensor>) -> DetectionOutput {
+        let [obj, boxes]: [Tensor; 2] = heads.try_into().expect("objectness and box heads");
+        let n = obj.dims()[0];
+        DetectionOutput {
+            obj_logits: obj.reshape([n]),
+            boxes,
+        }
+    }
+}
+
+/// The order in which [`SppNet::new`] draws parameters from the RNG.
+///
+/// It is the evaluation order of the struct literal that built the model
+/// before the op list existed. Keeping it keeps every seeded model's
+/// weights bit for bit.
+const INIT_ORDER: [&str; 7] = [
+    "fc1", "fc2", "head_box", "conv1", "conv2", "conv3", "head_obj",
+];
+
+/// Box-head bias prior: a centred, culvert-sized box.
+const BOX_PRIOR: [f32; 4] = [0.5, 0.5, 0.2, 0.2];
+
+/// The SPP-Net model: one [`Node`] per op of [`SppNetConfig::ops`].
 pub struct SppNet {
     /// The hyper-parameters this instance was built from.
     pub config: SppNetConfig,
-    conv1: Conv2d,
-    relu1: Relu,
-    pool1: MaxPool2d,
-    conv2: Conv2d,
-    relu2: Relu,
-    pool2: MaxPool2d,
-    conv3: Conv2d,
-    relu3: Relu,
-    pool3: MaxPool2d,
-    spp: SppLayer,
-    fc1: Linear,
-    fc1_relu: Relu,
-    fc2: Option<(Linear, Relu)>,
-    head_obj: Linear,
-    head_box: Linear,
+    nodes: Vec<Node>,
 }
 
 impl SppNet {
-    /// Builds a freshly initialized model.
+    /// Builds a freshly initialized model. Panics if `config` is invalid
+    /// (see [`SppNetConfig::ops`]).
     pub fn new(config: SppNetConfig, rng: &mut SeededRng) -> Self {
-        let [c1, c2, c3] = config.channels;
-        let spp = SppLayer::new(config.spp_levels());
-        let spp_features = config.spp_features();
-        let fc1 = Linear::new(spp_features, config.fc1, rng);
-        let fc2 = config
-            .fc2
-            .map(|f2| (Linear::new(config.fc1, f2, rng), Relu::new()));
-        let trunk_out = config.fc2.unwrap_or(config.fc1);
-        // Box-head prior: start from a centred, culvert-sized box with
-        // near-zero weights (the detectron-style regression-head init), so
-        // the prediction stays anchored while the trunk reorganizes for
-        // objectness and regression learns only the residual.
-        let mut head_box = Linear::new(trunk_out, 4, rng);
-        head_box.weight.value = Tensor::randn([trunk_out, 4], 0.0, 1e-3, rng);
-        head_box.bias.value = Tensor::from_vec([4], vec![0.5, 0.5, 0.2, 0.2]).expect("prior");
-        SppNet {
-            conv1: Conv2d::same(config.in_channels, c1, config.conv1_kernel, rng),
-            relu1: Relu::new(),
-            pool1: MaxPool2d::new(2, 2),
-            conv2: Conv2d::same(c1, c2, 3, rng),
-            relu2: Relu::new(),
-            pool2: MaxPool2d::new(2, 2),
-            conv3: Conv2d::same(c2, c3, 3, rng),
-            relu3: Relu::new(),
-            pool3: MaxPool2d::new(2, 2),
-            spp,
-            fc1,
-            fc1_relu: Relu::new(),
-            fc2,
-            head_obj: Linear::new(trunk_out, 1, rng),
-            head_box,
-            config,
+        let ops = config
+            .ops()
+            .unwrap_or_else(|e| panic!("invalid SppNetConfig: {e}"));
+        let mut values = vec![Vec::new(); ops.len()];
+        for name in INIT_ORDER {
+            let Some(i) = ops.iter().position(|op| op.name == name) else {
+                continue;
+            };
+            values[i] = ops[i].init_params(rng);
+            if name == "head_box" {
+                // Box-head prior: start from a centred, culvert-sized box
+                // with near-zero weights (the detectron-style regression-head
+                // init), so the prediction stays anchored while the trunk
+                // reorganizes for objectness and regression learns only the
+                // residual. The Kaiming draw above is discarded.
+                let shape = values[i][0].shape().clone();
+                values[i] = vec![
+                    Tensor::randn(shape, 0.0, 1e-3, rng),
+                    Tensor::from_vec([4], BOX_PRIOR.to_vec()).expect("prior"),
+                ];
+            }
         }
+        Self::from_params(config, ops, values.into_iter().flatten())
+    }
+
+    /// Builds a model from parameter values in [`SppNet::params_mut`]
+    /// order. The caller has checked them against `ops`' parameter shapes.
+    pub(crate) fn from_params(
+        config: SppNetConfig,
+        ops: Vec<Op>,
+        params: impl IntoIterator<Item = Tensor>,
+    ) -> Self {
+        let mut params = params.into_iter();
+        let nodes = ops
+            .into_iter()
+            .map(|op| {
+                let count = op.param_shapes().len();
+                Node::new(op, params.by_ref().take(count).collect())
+            })
+            .collect();
+        SppNet { config, nodes }
     }
 
     /// Forward pass producing objectness logits and box regressions.
     pub fn forward(&mut self, x: &Tensor) -> DetectionOutput {
         let _span = dcd_obs::span("sppnet.forward", dcd_obs::Category::Nn);
-        let n = x.dims()[0];
-        let mut cur = self.conv1.forward(x);
-        cur = self.relu1.forward(&cur);
-        cur = self.pool1.forward(&cur);
-        cur = self.conv2.forward(&cur);
-        cur = self.relu2.forward(&cur);
-        cur = self.pool2.forward(&cur);
-        cur = self.conv3.forward(&cur);
-        cur = self.relu3.forward(&cur);
-        cur = self.pool3.forward(&cur);
-        cur = self.spp.forward(&cur);
-        cur = self.fc1.forward(&cur);
-        cur = self.fc1_relu.forward(&cur);
-        if let Some((fc2, relu)) = &mut self.fc2 {
-            cur = fc2.forward(&cur);
-            cur = relu.forward(&cur);
+        let mut trunk: Option<Tensor> = None;
+        let mut heads = Vec::new();
+        for node in &mut self.nodes {
+            let y = node.forward(trunk.as_ref().unwrap_or(x));
+            if matches!(node.op.kind, OpKind::Head { .. }) {
+                heads.push(y);
+            } else {
+                trunk = Some(y);
+            }
         }
-        let obj = self.head_obj.forward(&cur).reshape([n]);
-        let boxes = self.head_box.forward(&cur);
-        DetectionOutput {
-            obj_logits: obj,
-            boxes,
-        }
+        DetectionOutput::from_heads(heads)
     }
 
     /// Backward pass from head gradients; returns `d loss / d input`.
     pub fn backward(&mut self, grad_obj: &Tensor, grad_box: &Tensor) -> Tensor {
         let n = grad_obj.dims()[0];
-        let g_obj = self.head_obj.backward(&grad_obj.clone().reshape([n, 1]));
-        let g_box = self.head_box.backward(grad_box);
-        let mut cur = g_obj.add(&g_box);
-        if let Some((fc2, relu)) = &mut self.fc2 {
-            cur = relu.backward(&cur);
-            cur = fc2.backward(&cur);
+        let grad_obj = grad_obj.clone().reshape([n, 1]);
+        let mut head_grads = vec![&grad_obj, grad_box];
+        let mut grad: Option<Tensor> = None;
+        for node in self.nodes.iter_mut().rev() {
+            grad = Some(if matches!(node.op.kind, OpKind::Head { .. }) {
+                // The heads share the trunk: their input gradients add up.
+                let g = node.backward(head_grads.pop().expect("one gradient per head"));
+                match grad {
+                    Some(later_heads) => g.add(&later_heads),
+                    None => g,
+                }
+            } else {
+                node.backward(grad.as_ref().expect("the op list ends in heads"))
+            });
         }
-        cur = self.fc1_relu.backward(&cur);
-        cur = self.fc1.backward(&cur);
-        cur = self.spp.backward(&cur);
-        cur = self.pool3.backward(&cur);
-        cur = self.relu3.backward(&cur);
-        cur = self.conv3.backward(&cur);
-        cur = self.pool2.backward(&cur);
-        cur = self.relu2.backward(&cur);
-        cur = self.conv2.backward(&cur);
-        cur = self.pool1.backward(&cur);
-        cur = self.relu1.backward(&cur);
-        self.conv1.backward(&cur)
+        grad.expect("non-empty op list")
     }
 
-    /// All trainable parameters.
+    /// All trainable parameters, node by node in op-list order. This order
+    /// is the checkpoint format.
     pub fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut params = Vec::new();
-        params.extend(self.conv1.params_mut());
-        params.extend(self.conv2.params_mut());
-        params.extend(self.conv3.params_mut());
-        params.extend(self.fc1.params_mut());
-        if let Some((fc2, _)) = &mut self.fc2 {
-            params.extend(fc2.params_mut());
-        }
-        params.extend(self.head_obj.params_mut());
-        params.extend(self.head_box.params_mut());
-        params
+        self.nodes
+            .iter_mut()
+            .flat_map(|node| node.params.iter_mut())
+            .collect()
     }
 
     /// Total scalar parameter count.
@@ -286,76 +384,29 @@ impl SppNet {
 
     /// Inference-only forward pass.
     ///
-    /// Uses the fused kernels — `conv+bias+ReLU` in one GEMM epilogue,
-    /// values-only pooling (no argmax bookkeeping), `Linear+ReLU` in one
-    /// pass — and caches nothing, so it needs only `&self` and allocates no
-    /// backward state. Numerically identical to [`SppNet::forward`]: the
-    /// fused ReLU yields `+0.0` where the mask path yields `-0.0`, which no
-    /// downstream comparison, sum or sigmoid can distinguish.
+    /// Walks the op list with the fused kernels — each conv or linear op
+    /// applies the ReLU after it in its GEMM epilogue, pooling keeps values
+    /// only (no argmax bookkeeping) — and caches nothing, so it needs only
+    /// `&self` and allocates no backward state. Numerically identical to
+    /// [`SppNet::forward`]: the fused ReLU yields `+0.0` where the mask path
+    /// yields `-0.0`, which no downstream comparison, sum or sigmoid can
+    /// distinguish.
     pub fn forward_inference(&self, x: &Tensor) -> DetectionOutput {
         let _span = dcd_obs::span("sppnet.forward_inference", dcd_obs::Category::Nn);
-        let n = x.dims()[0];
-        let conv = |layer: &Conv2d, x: &Tensor| {
-            conv2d_relu(
-                x,
-                &layer.weight.value,
-                &layer.bias.value,
-                layer.stride,
-                layer.pad,
-            )
-        };
-        let mut cur = conv(&self.conv1, x);
-        cur = max_pool2d_values(&cur, self.pool1.kernel, self.pool1.stride);
-        cur = conv(&self.conv2, &cur);
-        cur = max_pool2d_values(&cur, self.pool2.kernel, self.pool2.stride);
-        cur = conv(&self.conv3, &cur);
-        cur = max_pool2d_values(&cur, self.pool3.kernel, self.pool3.stride);
-        // SPP pyramid, values only.
-        let mut parts = Vec::with_capacity(self.spp.levels.len());
-        for &level in &self.spp.levels {
-            let y = adaptive_max_pool2d_values(&cur, level);
-            let f = y.numel() / n;
-            parts.push(y.reshape([n, f]));
+        let mut trunk: Option<Tensor> = None;
+        let mut heads = Vec::new();
+        let mut nodes = self.nodes.iter().peekable();
+        while let Some(node) = nodes.next() {
+            let relu = matches!(node.op.kind, OpKind::Conv { .. } | OpKind::Linear { .. })
+                && nodes.next_if(|next| next.op.kind == OpKind::Relu).is_some();
+            let y = node.infer(trunk.as_ref().unwrap_or(x), relu);
+            if matches!(node.op.kind, OpKind::Head { .. }) {
+                heads.push(y);
+            } else {
+                trunk = Some(y);
+            }
         }
-        let refs: Vec<&Tensor> = parts.iter().collect();
-        cur = Tensor::concat(&refs, 1);
-        // FC trunk with the bias+ReLU epilogue fused into the GEMM.
-        let fc_relu = |l: &Linear, x: &Tensor| {
-            let (m, k) = x.shape().matrix();
-            let nf = l.out_features();
-            let y = gemm_bias_relu(
-                x.data(),
-                l.weight.value.data(),
-                l.bias.value.data(),
-                m,
-                k,
-                nf,
-            );
-            Tensor::from_vec([m, nf], y).expect("fc output")
-        };
-        cur = fc_relu(&self.fc1, &cur);
-        if let Some((fc2, _)) = &self.fc2 {
-            cur = fc_relu(fc2, &cur);
-        }
-        let head = |l: &Linear, x: &Tensor| {
-            let (m, k) = x.shape().matrix();
-            let nf = l.out_features();
-            let y = gemm_bias(
-                x.data(),
-                l.weight.value.data(),
-                l.bias.value.data(),
-                m,
-                k,
-                nf,
-            );
-            Tensor::from_vec([m, nf], y).expect("head output")
-        };
-        let obj = head(&self.head_obj, &cur).reshape([n]);
-        let boxes = head(&self.head_box, &cur);
-        DetectionOutput {
-            obj_logits: obj,
-            boxes,
-        }
+        DetectionOutput::from_heads(heads)
     }
 
     /// Runs inference on a batch and decodes per-image detections.
@@ -484,6 +535,48 @@ mod tests {
         // `==` tolerates the fused ReLU's +0.0 vs the mask path's -0.0.
         assert_eq!(train.obj_logits.data(), infer.obj_logits.data());
         assert_eq!(train.boxes.data(), infer.boxes.data());
+    }
+
+    #[test]
+    fn op_names_follow_the_architecture() {
+        let mut cfg = SppNetConfig::tiny();
+        let names = |cfg: &SppNetConfig| -> Vec<&str> {
+            cfg.ops().unwrap().iter().map(|op| op.name).collect()
+        };
+        let backbone = [
+            "conv1", "relu1", "pool1", "conv2", "relu2", "pool2", "conv3", "relu3", "pool3", "spp",
+            "fc1", "fc1_relu",
+        ];
+        assert_eq!(
+            names(&cfg),
+            [&backbone[..], &["head_obj", "head_box"]].concat()
+        );
+        cfg.fc2 = Some(16);
+        assert_eq!(
+            names(&cfg),
+            [&backbone[..], &["fc2", "fc2_relu", "head_obj", "head_box"]].concat()
+        );
+    }
+
+    #[test]
+    fn sppnet_end_to_end_gradient_check() {
+        // backward's input gradient of sum(obj) + sum(boxes) against central
+        // differences through the whole op list.
+        let mut r = rng();
+        let mut net = SppNet::new(SppNetConfig::tiny(), &mut r);
+        let x = Tensor::randn([1, 1, 8, 8], 0.0, 1.0, &mut r);
+        net.forward(&x);
+        let gx = net.backward(&Tensor::ones([1]), &Tensor::ones([1, 4]));
+        assert!(gx.max() > 0.1, "max {}", gx.max());
+        let num = dcd_tensor::grad_check::numeric_grad(&x, 1e-2, |xp| {
+            let out = net.forward_inference(xp);
+            out.obj_logits.sum() + out.boxes.sum()
+        });
+        assert!(
+            gx.max_abs_diff(&num) < 0.05,
+            "diff {}",
+            gx.max_abs_diff(&num)
+        );
     }
 
     #[test]

@@ -1,11 +1,17 @@
 //! Property-based tests of the neural-network layer invariants.
 
-use dcd_nn::layers::{Conv2d, Layer, Linear, MaxPool2d, Relu, SppLayer};
 use dcd_nn::loss::{bce_with_logits, smooth_l1, softmax_cross_entropy};
 use dcd_nn::metrics::{average_precision, iou};
-use dcd_nn::{BBox, SppNet, SppNetConfig};
+use dcd_nn::{BBox, Node, Op, OpKind, SppNet, SppNetConfig};
 use dcd_tensor::{SeededRng, Tensor};
 use proptest::prelude::*;
+
+/// A standalone node of `kind` with freshly initialized parameters.
+fn node(kind: OpKind, rng: &mut SeededRng) -> Node {
+    let op = Op { name: "test", kind };
+    let params = op.init_params(rng);
+    Node::new(op, params)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -14,12 +20,12 @@ proptest! {
     fn relu_output_nonnegative_and_idempotent(seed in 0u64..10_000, n in 1usize..64) {
         let mut rng = SeededRng::new(seed);
         let x = Tensor::randn([n], 0.0, 2.0, &mut rng);
-        let mut relu = Relu::new();
+        let mut relu = node(OpKind::Relu, &mut rng);
         let y = relu.forward(&x);
         for &v in y.data() {
             prop_assert!(v >= 0.0);
         }
-        let mut relu2 = Relu::new();
+        let mut relu2 = node(OpKind::Relu, &mut rng);
         prop_assert_eq!(relu2.forward(&y), y);
     }
 
@@ -29,7 +35,7 @@ proptest! {
     ) {
         let mut rng = SeededRng::new(seed);
         let x = Tensor::randn([1, c, h, w], 0.0, 1.0, &mut rng);
-        let mut spp = SppLayer::new([4, 2, 1]);
+        let mut spp = node(OpKind::Spp { levels: vec![4, 2, 1] }, &mut rng);
         let y = spp.forward(&x);
         prop_assert_eq!(y.dims(), &[1, c * 21]);
     }
@@ -38,7 +44,7 @@ proptest! {
     fn linear_is_affine(seed in 0u64..10_000, n in 1usize..6, m in 1usize..6) {
         // f(a+b) − f(b) == f(a) − f(0) for an affine map.
         let mut rng = SeededRng::new(seed);
-        let mut lin = Linear::new(n, m, &mut rng);
+        let mut lin = node(OpKind::Linear { in_f: n, out_f: m }, &mut rng);
         let a = Tensor::randn([1, n], 0.0, 1.0, &mut rng);
         let b = Tensor::randn([1, n], 0.0, 1.0, &mut rng);
         let zero = Tensor::zeros([1, n]);
@@ -54,8 +60,9 @@ proptest! {
         let x = Tensor::randn([1, 1, h, h], 0.0, 1.0, &mut rng);
         let bump = Tensor::uniform([1, 1, h, h], 0.0, 1.0, &mut rng);
         let y = x.add(&bump);
-        let mut p1 = MaxPool2d::new(2, 1);
-        let mut p2 = MaxPool2d::new(2, 1);
+        let pool = OpKind::MaxPool { kernel: 2, stride: 1 };
+        let mut p1 = node(pool.clone(), &mut rng);
+        let mut p2 = node(pool, &mut rng);
         let px = p1.forward(&x);
         let py = p2.forward(&y);
         for (a, b) in px.data().iter().zip(py.data().iter()) {
@@ -66,12 +73,13 @@ proptest! {
     #[test]
     fn conv_zero_input_gives_bias_map(seed in 0u64..10_000) {
         let mut rng = SeededRng::new(seed);
-        let mut conv = Conv2d::same(2, 3, 3, &mut rng);
-        conv.bias.value = Tensor::from_vec([3], vec![0.5, -1.0, 2.0]).unwrap();
+        let kind = OpKind::Conv { c_in: 2, c_out: 3, kernel: 3, stride: 1, pad: 1 };
+        let mut conv = node(kind, &mut rng);
+        conv.params[1].value = Tensor::from_vec([3], vec![0.5, -1.0, 2.0]).unwrap();
         let y = conv.forward(&Tensor::zeros([1, 2, 5, 5]));
         for co in 0..3 {
             for s in 0..25 {
-                prop_assert_eq!(y.data()[co * 25 + s], conv.bias.value.data()[co]);
+                prop_assert_eq!(y.data()[co * 25 + s], conv.params[1].value.data()[co]);
             }
         }
     }

@@ -251,83 +251,6 @@ pub fn adaptive_max_pool2d_backward(grad_out: &Tensor, saved: &AdaptiveMaxIndice
     Tensor::from_vec([n, c, h, w], gx).expect("adaptive pool grad size")
 }
 
-/// Adaptive average pooling to an `out × out` grid.
-pub fn adaptive_avg_pool2d(input: &Tensor, out_size: usize) -> Tensor {
-    assert!(out_size > 0, "adaptive pool output must be positive");
-    let (n, c, h, w) = input.shape().nchw();
-    let out_spatial = out_size * out_size;
-    let in_spatial = h * w;
-    let sample_in = c * in_spatial;
-    let sample_out = c * out_spatial;
-
-    let mut out = vec![0.0f32; n * sample_out];
-    out.par_chunks_mut(sample_out)
-        .enumerate()
-        .for_each(|(s, o)| {
-            let x = &input.data()[s * sample_in..(s + 1) * sample_in];
-            for ci in 0..c {
-                for oy in 0..out_size {
-                    let (y0, y1) = adaptive_bin(oy, h, out_size);
-                    for ox in 0..out_size {
-                        let (x0, x1) = adaptive_bin(ox, w, out_size);
-                        let mut acc = 0.0f32;
-                        for iy in y0..y1 {
-                            for ixp in x0..x1 {
-                                acc += x[ci * in_spatial + iy * w + ixp];
-                            }
-                        }
-                        let count = ((y1 - y0) * (x1 - x0)) as f32;
-                        o[ci * out_spatial + oy * out_size + ox] = acc / count;
-                    }
-                }
-            }
-        });
-    Tensor::from_vec([n, c, out_size, out_size], out).expect("adaptive avg output")
-}
-
-/// Backward pass of [`adaptive_avg_pool2d`]: spreads each output gradient
-/// uniformly over its bin.
-pub fn adaptive_avg_pool2d_backward(
-    grad_out: &Tensor,
-    input_shape: &[usize],
-    out_size: usize,
-) -> Tensor {
-    let [n, c, h, w]: [usize; 4] = input_shape.try_into().expect("NCHW input shape");
-    let (gn, gc, goh, gow) = grad_out.shape().nchw();
-    assert_eq!(
-        (gn, gc),
-        (n, c),
-        "adaptive_avg backward batch/channel mismatch"
-    );
-    assert_eq!(
-        (goh, gow),
-        (out_size, out_size),
-        "adaptive_avg backward size mismatch"
-    );
-    let in_spatial = h * w;
-    let out_spatial = out_size * out_size;
-    let mut gx = vec![0.0f32; n * c * in_spatial];
-    for s in 0..n {
-        for ci in 0..c {
-            for oy in 0..out_size {
-                let (y0, y1) = adaptive_bin(oy, h, out_size);
-                for ox in 0..out_size {
-                    let (x0, x1) = adaptive_bin(ox, w, out_size);
-                    let count = ((y1 - y0) * (x1 - x0)) as f32;
-                    let g =
-                        grad_out.data()[(s * c + ci) * out_spatial + oy * out_size + ox] / count;
-                    for iy in y0..y1 {
-                        for ixp in x0..x1 {
-                            gx[(s * c + ci) * in_spatial + iy * w + ixp] += g;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    Tensor::from_vec([n, c, h, w], gx).expect("adaptive avg grad size")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -450,23 +373,6 @@ mod tests {
         let go = Tensor::ones([1, 2, 3, 3]);
         let gx = adaptive_max_pool2d_backward(&go, &ix);
         let num = numeric_grad(&x, 1e-3, |xp| adaptive_max_pool2d(xp, 3).0.sum());
-        assert!(gx.max_abs_diff(&num) < 1e-2);
-    }
-
-    #[test]
-    fn adaptive_avg_1x1_is_mean() {
-        let x = Tensor::from_vec([1, 1, 2, 2], vec![1., 2., 3., 6.]).unwrap();
-        let y = adaptive_avg_pool2d(&x, 1);
-        assert_eq!(y.data(), &[3.0]);
-    }
-
-    #[test]
-    fn adaptive_avg_backward_matches_numeric() {
-        let mut rng = SeededRng::new(10);
-        let x = Tensor::randn([1, 1, 5, 7], 0.0, 1.0, &mut rng);
-        let go = Tensor::ones([1, 1, 2, 2]);
-        let gx = adaptive_avg_pool2d_backward(&go, x.dims(), 2);
-        let num = numeric_grad(&x, 1e-3, |xp| adaptive_avg_pool2d(xp, 2).sum());
         assert!(gx.max_abs_diff(&num) < 1e-2);
     }
 

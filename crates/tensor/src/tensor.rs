@@ -12,10 +12,37 @@ use serde::{Deserialize, Serialize};
 const PAR_THRESHOLD: usize = 1 << 14;
 
 /// A dense, contiguous, row-major `f32` tensor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Tensor {
     shape: Shape,
     data: Vec<f32>,
+}
+
+/// A tensor as serialized, before its shape is checked against its data.
+#[derive(Deserialize)]
+struct RawTensor {
+    shape: Shape,
+    data: Vec<f32>,
+}
+
+/// Deserialization holds the invariant [`Tensor::from_vec`] enforces: the
+/// shape's element count, computed without overflow, equals the data length.
+impl Deserialize for Tensor {
+    fn deserialize(value: &serde::Value) -> Result<Tensor, serde::DeError> {
+        let RawTensor { shape, data } = RawTensor::deserialize(value)?;
+        let numel = shape
+            .dims()
+            .iter()
+            .try_fold(1usize, |n, &d| n.checked_mul(d));
+        if numel != Some(data.len()) {
+            return Err(serde::DeError::new(format!(
+                "tensor shape {:?} does not match its {} elements",
+                shape.dims(),
+                data.len()
+            )));
+        }
+        Ok(Tensor { shape, data })
+    }
 }
 
 impl Tensor {
@@ -386,6 +413,17 @@ mod tests {
         assert_eq!(Tensor::zeros([2, 2]).sum(), 0.0);
         assert_eq!(Tensor::ones([2, 2]).sum(), 4.0);
         assert_eq!(Tensor::full([3], 2.5).sum(), 7.5);
+    }
+
+    #[test]
+    fn deserialize_checks_len() {
+        let t = Tensor::from_vec([2, 2], vec![1., 2., 3., 4.]).unwrap();
+        let back: Tensor = serde_json::from_str(&serde_json::to_string(&t).unwrap()).unwrap();
+        assert_eq!(back, t);
+        let short = r#"{"shape":[2,2],"data":[1.0,2.0,3.0]}"#;
+        assert!(serde_json::from_str::<Tensor>(short).is_err());
+        let huge = format!(r#"{{"shape":[{},{}],"data":[]}}"#, usize::MAX, 2);
+        assert!(serde_json::from_str::<Tensor>(&huge).is_err());
     }
 
     #[test]
