@@ -35,6 +35,17 @@ cargo test -q --test serving
 echo "== chaos serving suite, pool pinned sequential =="
 RAYON_NUM_THREADS=1 cargo test -q --test serving
 
+# perfbench/ is the repo benchmark, a workspace of its own that calls the
+# GEMM entry points (gemm_bias_relu, gemm_packed, PackedLhs, gemm_at,
+# gemm_bt) by name. Build it as the benchmark does, then run its traced
+# patch-online workload: it exits non-zero unless the op-by-op replay equals
+# forward_inference bit for bit, and its last line must report correct.
+echo "== repo benchmark builds; traced patch-online replay is bit-identical =="
+cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
+replay=$(cargo run --release -q --offline --locked --manifest-path perfbench/Cargo.toml -- \
+    --workload patch-online --seed 1 --seconds 2 --trace 1)
+tail -1 <<<"$replay" | grep -q '"correct": true'
+
 echo "== criterion benches compile =="
 cargo bench --workspace --no-run
 

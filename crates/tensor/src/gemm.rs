@@ -21,20 +21,24 @@
 //! * Transposed variants ([`gemm_at`], [`gemm_bt`]) pack straight from the
 //!   transposed layout, so backward passes never materialize `Aᵀ`/`Bᵀ`.
 //!
-//! Skinny products (`m` at most [`THIN_M`] — e.g. batch-1 inference
-//! through a fully-connected layer — or at most [`THIN_M_BIG_RHS`] when
-//! `B` is too large for L2) skip the packing entirely: packing `B` costs
-//! `k·n` writes, more than the whole product is worth at `m = 1`. They run
-//! a `k`-blocked axpy kernel straight off the row-major `b` instead.
+//! Skinny products (`m` at most [`SKINNY_M`] — a fully-connected layer at
+//! batch 1–32) run a column-parallel driver instead: the pool splits `C`
+//! into disjoint `NC`-column blocks, and each task reads its slice of `B`
+//! once, in `KC×NC` blocks packed into an L2-resident buffer, while every
+//! `MR`-row panel of the packed `A` consumes it — one load of each `B`
+//! element per `MR` rows, not per row. Partial sums are stored as f32
+//! between `k`-blocks, so each accumulator still continues one chain. At
+//! `m = 1` with row-major `B` nothing is packed: each task streams whole
+//! contiguous row segments of `b` into an L1-resident accumulator.
 //!
-//! Parallelism splits `C` into disjoint `MC`-row blocks (each block is
-//! written by exactly one rayon task), and every output element is a single
-//! fused-multiply-add chain over `p = 0..k` in ascending order regardless
-//! of the tile shape, code path, or thread count — which is what keeps
-//! parallel runs bit-identical to sequential ones and the thin path
-//! bit-identical to the tiled one. (The retained [`gemm_legacy`] baseline
-//! uses separate mul+add, so it agrees with the packed kernel only to
-//! rounding, not to the bit.)
+//! The large-`m` path splits `C` into disjoint `MC`-row blocks (each block
+//! is written by exactly one rayon task). On every path each output
+//! element is a single fused-multiply-add chain over `p = 0..k` in
+//! ascending order, regardless of the tile shape, code path, or thread
+//! count — which is what keeps parallel runs bit-identical to sequential
+//! ones and the skinny path bit-identical to the tiled one. (The retained
+//! [`gemm_legacy`] baseline uses separate mul+add, so it agrees with the
+//! packed kernel only to rounding, not to the bit.)
 
 use crate::scratch;
 use crate::tensor::Tensor;
@@ -49,17 +53,20 @@ const MR_MAX: usize = 6;
 const NR_MAX: usize = 16;
 /// Rows of `C` per parallel task (a multiple of every selectable `MR`).
 const MC: usize = 60;
-/// `m` at or below which the packing overhead cannot amortize and the thin
-/// axpy path runs instead.
-const THIN_M: usize = 8;
-/// The thin path also wins up to this `m` when the right operand is too
-/// big for L2 — packing it then costs a full extra DRAM round trip.
-const THIN_M_BIG_RHS: usize = 32;
-/// `k·n` above which `B` is considered DRAM-resident (≥ 8 MB of f32).
-const BIG_RHS: usize = 1 << 21;
-/// `k`-chunk of the thin path: one chunk of `B` rows (≤ 1 MB) stays cached
-/// while every output row consumes it.
-const KC_THIN: usize = 256;
+/// `m` at or below which the skinny column-parallel driver runs instead of
+/// the `MC`-row split (which would leave one task for the whole product).
+const SKINNY_M: usize = 32;
+/// `(KC, NC)` of the skinny driver for row-major `B`: each task owns up to
+/// `NC` columns of `C` (a multiple of every selectable `NR`) and packs `B` in
+/// `KC×NC` blocks. A block is 64 Ki floats (256 KB, L2-resident between
+/// packing and use), shaped so packing reads `b` in 4 KB row segments —
+/// short segments cut the streaming rate of the memory-bound read of `B`.
+const BLOCK_ROWS: (usize, usize) = (64, 1024);
+/// `(KC, NC)` for transposed `B`, where packing reads `KC`-float runs along
+/// each stored row of `b`: the same 256 KB, shaped tall instead.
+const BLOCK_TRANS: (usize, usize) = (512, 128);
+/// Shortest row segment per task of a one-row product.
+const MIN_STREAM: usize = 256;
 /// `m·n·k` below which the block loop runs inline (scheduling would
 /// dominate). The parallel and sequential paths run identical code.
 const PAR_WORK: usize = 1 << 16;
@@ -126,6 +133,18 @@ fn select_mr(m: usize) -> usize {
     }
 }
 
+/// Micro-panel height of the skinny driver: [`select_mr`], except that a
+/// batch 4-row panels tile exactly and 6-row panels do not (8, 20, 32)
+/// takes 4 — at `m ≤ SKINNY_M` the padding rows would be a large share of
+/// the work.
+fn skinny_mr(m: usize) -> usize {
+    if !m.is_multiple_of(MR_MAX) && m.is_multiple_of(4) {
+        4
+    } else {
+        select_mr(m)
+    }
+}
+
 /// Micro-panel width for an `n`-column problem (see [`select_mr`]).
 fn select_nr(n: usize) -> usize {
     if n >= NR_MAX {
@@ -176,35 +195,48 @@ fn pack_lhs(a: &[f32], ta: Trans, m: usize, k: usize, mr: usize, out: &mut [f32]
     }
 }
 
-/// Packs `op(B)` (`k×n` logical) into column-panels of `nr` columns,
-/// k-major within each panel: element `(p, jj)` of panel `pj` lands at
-/// `pj·nr·k + p·nr + jj`. `out` must be zeroed.
-fn pack_rhs(b: &[f32], tb: Trans, k: usize, n: usize, nr: usize, out: &mut [f32]) {
-    if k == 0 {
+/// Packs the `kc×cols` block of `op(B)` (`k×n` logical) starting at row
+/// `kb` and column `j0` into column-panels of `nr` columns, k-major within
+/// each panel: element `(p, jj)` of panel `pj` lands at
+/// `pj·nr·kc + p·nr + jj`. `out` holds exactly `⌈cols/nr⌉·nr·kc` elements;
+/// the padding lanes of a ragged last panel are zeroed.
+#[allow(clippy::too_many_arguments)]
+fn pack_rhs(
+    b: &[f32],
+    tb: Trans,
+    k: usize,
+    n: usize,
+    (kb, kc): (usize, usize),
+    (j0, cols): (usize, usize),
+    nr: usize,
+    out: &mut [f32],
+) {
+    if kc == 0 {
         return;
     }
-    match tb {
-        Trans::No => {
-            for (pj, panel) in out.chunks_mut(nr * k).enumerate() {
-                let j0 = pj * nr;
-                let cols = nr.min(n - j0);
-                for p in 0..k {
-                    let src = &b[p * n + j0..p * n + j0 + cols];
-                    panel[p * nr..p * nr + cols].copy_from_slice(src);
+    for (pj, panel) in out.chunks_mut(nr * kc).enumerate() {
+        let c0 = j0 + pj * nr;
+        let w = nr.min(j0 + cols - c0);
+        match tb {
+            Trans::No => {
+                for p in 0..kc {
+                    let src = &b[(kb + p) * n + c0..][..w];
+                    panel[p * nr..p * nr + w].copy_from_slice(src);
                 }
             }
-        }
-        Trans::Yes => {
-            // `b` stores Bᵀ: `op(B)[p][j] = b[j*k + p]`.
-            for (pj, panel) in out.chunks_mut(nr * k).enumerate() {
-                let j0 = pj * nr;
-                let cols = nr.min(n - j0);
-                for jj in 0..cols {
-                    let src = &b[(j0 + jj) * k..(j0 + jj + 1) * k];
+            Trans::Yes => {
+                // `b` stores Bᵀ: `op(B)[p][j] = b[j*k + p]`.
+                for jj in 0..w {
+                    let src = &b[(c0 + jj) * k + kb..][..kc];
                     for (p, &v) in src.iter().enumerate() {
                         panel[p * nr + jj] = v;
                     }
                 }
+            }
+        }
+        if w < nr {
+            for p in 0..kc {
+                panel[p * nr + w..(p + 1) * nr].fill(0.0);
             }
         }
     }
@@ -227,14 +259,12 @@ impl PackedLhs {
     /// Packs `op(A)` with logical shape `m×k` (`a` holds `k×m` storage when
     /// `ta` is [`Trans::Yes`]).
     pub fn pack(a: &[f32], ta: Trans, m: usize, k: usize) -> PackedLhs {
-        assert_eq!(
-            a.len(),
-            m * k,
-            "A buffer is {} but m*k = {}",
-            a.len(),
-            m * k
-        );
-        let mr = select_mr(m.max(1));
+        PackedLhs::with_mr(a, ta, m, k, select_mr(m.max(1)))
+    }
+
+    /// [`PackedLhs::pack`] into panels of `mr` rows.
+    fn with_mr(a: &[f32], ta: Trans, m: usize, k: usize, mr: usize) -> PackedLhs {
+        check_len("A", a.len(), m * k);
         let mut buf = scratch::take(m.div_ceil(mr) * mr * k);
         pack_lhs(a, ta, m, k, mr, &mut buf);
         PackedLhs { buf, m, k, mr }
@@ -259,13 +289,92 @@ impl Drop for PackedLhs {
 
 // ------------------------------------------------------------ micro-kernel
 
+/// Expands to a call of `$f::<MR, NR>` for the runtime tile `($mr, $nr)`.
+macro_rules! with_tile {
+    ($tile:expr, $f:ident($($arg:expr),* $(,)?)) => {
+        match $tile {
+            (6, 16) => $f::<6, 16>($($arg),*),
+            (6, 8) => $f::<6, 8>($($arg),*),
+            (6, 4) => $f::<6, 4>($($arg),*),
+            (6, 1) => $f::<6, 1>($($arg),*),
+            (4, 16) => $f::<4, 16>($($arg),*),
+            (4, 8) => $f::<4, 8>($($arg),*),
+            (4, 4) => $f::<4, 4>($($arg),*),
+            (4, 1) => $f::<4, 1>($($arg),*),
+            (2, 16) => $f::<2, 16>($($arg),*),
+            (2, 8) => $f::<2, 8>($($arg),*),
+            (2, 4) => $f::<2, 4>($($arg),*),
+            (2, 1) => $f::<2, 1>($($arg),*),
+            (1, 16) => $f::<1, 16>($($arg),*),
+            (1, 8) => $f::<1, 8>($($arg),*),
+            (1, 4) => $f::<1, 4>($($arg),*),
+            (1, 1) => $f::<1, 1>($($arg),*),
+            (mr, nr) => unreachable!("unsupported tile {mr}x{nr}"),
+        }
+    };
+}
+
+/// Continues the `MR×NR` accumulator tile over `kdim` steps of a packed
+/// A panel and B panel: one `mul_add` per element per step, `p` ascending —
+/// one fused chain per output element, independent of tile shape, block
+/// size and thread count, which is the invariant behind the
+/// bit-determinism guarantee.
+#[inline(always)]
+fn fma_tile<const MR: usize, const NR: usize>(
+    apanel: &[f32],
+    bpanel: &[f32],
+    kdim: usize,
+    acc: &mut [[f32; NR]; MR],
+) {
+    for p in 0..kdim {
+        let ar = &apanel[p * MR..p * MR + MR];
+        let br = &bpanel[p * NR..p * NR + NR];
+        for i in 0..MR {
+            let ai = ar[i];
+            for j in 0..NR {
+                acc[i][j] = ai.mul_add(br[j], acc[i][j]);
+            }
+        }
+    }
+}
+
+/// Writes one row segment of finished sums `acc` into `crow` through the
+/// epilogue; `gi` is the segment's row and `j0` its first column in `C`.
+#[inline(always)]
+fn write_back(ep: Epilogue<'_>, crow: &mut [f32], acc: &[f32], gi: usize, j0: usize) {
+    let relu = |y: f32| if y > 0.0 { y } else { 0.0 };
+    match ep {
+        Epilogue::Store => crow.copy_from_slice(&acc[..crow.len()]),
+        Epilogue::Accumulate => {
+            for (c, &v) in crow.iter_mut().zip(acc) {
+                *c += v;
+            }
+        }
+        Epilogue::BiasCols(bias) => {
+            for ((c, &v), &b) in crow.iter_mut().zip(acc).zip(&bias[j0..]) {
+                *c = v + b;
+            }
+        }
+        Epilogue::BiasColsRelu(bias) => {
+            for ((c, &v), &b) in crow.iter_mut().zip(acc).zip(&bias[j0..]) {
+                *c = relu(v + b);
+            }
+        }
+        Epilogue::BiasRows(bias) => {
+            for (c, &v) in crow.iter_mut().zip(acc) {
+                *c = v + bias[gi];
+            }
+        }
+        Epilogue::BiasRowsRelu(bias) => {
+            for (c, &v) in crow.iter_mut().zip(acc) {
+                *c = relu(v + bias[gi]);
+            }
+        }
+    }
+}
+
 /// Computes one `MR×NR` register tile over the full `k` extent and writes
 /// it back through the epilogue, masking the ragged edge.
-///
-/// Each accumulator is one `mul_add` chain over `a[i][p]·b[p][j]` for `p`
-/// ascending — one fused chain per output element, independent of tile
-/// shape and thread count, which is the invariant behind the
-/// bit-determinism guarantee.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn micro_tile<const MR: usize, const NR: usize>(
@@ -282,54 +391,10 @@ fn micro_tile<const MR: usize, const NR: usize>(
     ep: Epilogue<'_>,
 ) {
     let mut acc = [[0.0f32; NR]; MR];
-    for p in 0..kdim {
-        let ar = &apanel[p * MR..p * MR + MR];
-        let br = &bpanel[p * NR..p * NR + NR];
-        for i in 0..MR {
-            let ai = ar[i];
-            for j in 0..NR {
-                acc[i][j] = ai.mul_add(br[j], acc[i][j]);
-            }
-        }
-    }
+    fma_tile::<MR, NR>(apanel, bpanel, kdim, &mut acc);
     for (i, acc_row) in acc.iter().enumerate().take(m_rem) {
         let crow = &mut c_rows[(row0 + i) * n + j0..(row0 + i) * n + j0 + n_rem];
-        match ep {
-            Epilogue::Store => {
-                crow.copy_from_slice(&acc_row[..n_rem]);
-            }
-            Epilogue::Accumulate => {
-                for (c, &v) in crow.iter_mut().zip(acc_row.iter()) {
-                    *c += v;
-                }
-            }
-            Epilogue::BiasCols(bias) => {
-                let brow = &bias[j0..j0 + n_rem];
-                for ((c, &v), &b) in crow.iter_mut().zip(acc_row.iter()).zip(brow.iter()) {
-                    *c = v + b;
-                }
-            }
-            Epilogue::BiasColsRelu(bias) => {
-                let brow = &bias[j0..j0 + n_rem];
-                for ((c, &v), &b) in crow.iter_mut().zip(acc_row.iter()).zip(brow.iter()) {
-                    let y = v + b;
-                    *c = if y > 0.0 { y } else { 0.0 };
-                }
-            }
-            Epilogue::BiasRows(bias) => {
-                let b = bias[gi + i];
-                for (c, &v) in crow.iter_mut().zip(acc_row.iter()) {
-                    *c = v + b;
-                }
-            }
-            Epilogue::BiasRowsRelu(bias) => {
-                let b = bias[gi + i];
-                for (c, &v) in crow.iter_mut().zip(acc_row.iter()) {
-                    let y = v + b;
-                    *c = if y > 0.0 { y } else { 0.0 };
-                }
-            }
-        }
+        write_back(ep, crow, acc_row, gi + i, j0);
     }
 }
 
@@ -368,167 +433,190 @@ fn block<const MR: usize, const NR: usize>(
     }
 }
 
-/// [`block`] with the tile shape resolved at runtime.
-#[allow(clippy::too_many_arguments)]
-fn block_dyn(
-    (mr, nr): (usize, usize),
-    apack: &[f32],
-    bpack: &[f32],
-    c_rows: &mut [f32],
-    i0: usize,
-    i1: usize,
-    k: usize,
-    n: usize,
-    ep: Epilogue<'_>,
-) {
-    match (mr, nr) {
-        (6, 16) => block::<6, 16>(apack, bpack, c_rows, i0, i1, k, n, ep),
-        (6, 8) => block::<6, 8>(apack, bpack, c_rows, i0, i1, k, n, ep),
-        (6, 4) => block::<6, 4>(apack, bpack, c_rows, i0, i1, k, n, ep),
-        (6, 1) => block::<6, 1>(apack, bpack, c_rows, i0, i1, k, n, ep),
-        (4, 16) => block::<4, 16>(apack, bpack, c_rows, i0, i1, k, n, ep),
-        (4, 8) => block::<4, 8>(apack, bpack, c_rows, i0, i1, k, n, ep),
-        (4, 4) => block::<4, 4>(apack, bpack, c_rows, i0, i1, k, n, ep),
-        (4, 1) => block::<4, 1>(apack, bpack, c_rows, i0, i1, k, n, ep),
-        (2, 16) => block::<2, 16>(apack, bpack, c_rows, i0, i1, k, n, ep),
-        (2, 8) => block::<2, 8>(apack, bpack, c_rows, i0, i1, k, n, ep),
-        (2, 4) => block::<2, 4>(apack, bpack, c_rows, i0, i1, k, n, ep),
-        (2, 1) => block::<2, 1>(apack, bpack, c_rows, i0, i1, k, n, ep),
-        (1, 16) => block::<1, 16>(apack, bpack, c_rows, i0, i1, k, n, ep),
-        (1, 8) => block::<1, 8>(apack, bpack, c_rows, i0, i1, k, n, ep),
-        (1, 4) => block::<1, 4>(apack, bpack, c_rows, i0, i1, k, n, ep),
-        (1, 1) => block::<1, 1>(apack, bpack, c_rows, i0, i1, k, n, ep),
-        _ => unreachable!("unsupported tile {mr}x{nr}"),
-    }
-}
-
 /// `C[m×n] = op(A)·B'` against a pre-packed left operand, `B'` packed here
 /// from `b` (transposed when `tb` says so), with a fused epilogue.
 pub fn gemm_packed(pa: &PackedLhs, b: &[f32], tb: Trans, c: &mut [f32], n: usize, ep: Epilogue) {
     let (m, k) = (pa.m, pa.k);
-    assert_eq!(
-        b.len(),
-        k * n,
-        "B buffer is {} but k*n = {}",
-        b.len(),
-        k * n
-    );
-    assert_eq!(
-        c.len(),
-        m * n,
-        "C buffer is {} but m*n = {}",
-        c.len(),
-        m * n
-    );
+    check_len("B", b.len(), k * n);
+    check_len("C", c.len(), m * n);
     ep.check(m, n);
     if m == 0 || n == 0 {
         return;
     }
     let nr = select_nr(n);
     let mut bpack = scratch::take(n.div_ceil(nr) * nr * k);
-    pack_rhs(b, tb, k, n, nr, &mut bpack);
+    pack_rhs(b, tb, k, n, (0, k), (0, n), nr, &mut bpack);
     let tile = (pa.mr, nr);
+    let (apack, bpack_ref) = (&pa.buf, &bpack);
+    let run = |blk: usize, c_blk: &mut [f32]| {
+        let (i0, i1) = (blk * MC, (blk * MC + MC).min(m));
+        with_tile!(tile, block(apack, bpack_ref, c_blk, i0, i1, k, n, ep));
+    };
     if m * n * k < PAR_WORK {
-        for blk in 0..m.div_ceil(MC) {
-            let (i0, i1) = (blk * MC, (blk * MC + MC).min(m));
-            block_dyn(
-                tile,
-                &pa.buf,
-                &bpack,
-                &mut c[i0 * n..i1 * n],
-                i0,
-                i1,
-                k,
-                n,
-                ep,
-            );
-        }
+        c.chunks_mut(MC * n)
+            .enumerate()
+            .for_each(|(i, c)| run(i, c));
     } else {
-        let (apack, bpack_ref) = (&pa.buf, &bpack);
         c.par_chunks_mut(MC * n)
             .enumerate()
-            .for_each(|(blk, c_blk)| {
-                let (i0, i1) = (blk * MC, (blk * MC + MC).min(m));
-                block_dyn(tile, apack, bpack_ref, c_blk, i0, i1, k, n, ep);
-            });
+            .for_each(|(i, c)| run(i, c));
     }
     scratch::release(bpack);
 }
 
-/// Row-at-a-time axpy kernel for skinny products.
-///
-/// Packing `B` costs `k·n` writes; at `m = 1` (batch-1 inference through a
-/// fully-connected layer) that is more memory traffic than the entire
-/// product. This path reads the row-major `b` directly in `KC_THIN`-row
-/// chunks — each chunk stays cached while all `m` accumulator rows consume
-/// it — and applies the same fused epilogue. Every output element is still
-/// a single `mul_add` chain with `p` ascending, so the thin and tiled
-/// paths agree to the bit. Runs inline — thin problems are too small for
-/// task scheduling to pay off.
+// ---------------------------------------------------------- skinny driver
+
+/// Continues one column block of a skinny product by `kc` steps: `acc`
+/// holds the `MR×NR` tile's f32 partial sums (row stride `ld`), which are
+/// loaded, extended and stored back, so splitting `k` into blocks leaves
+/// each element's `mul_add` chain unchanged.
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn gemm_thin(
+fn skinny_tile<const MR: usize, const NR: usize>(
+    apanel: &[f32],
+    bpanel: &[f32],
+    kc: usize,
+    acc: &mut [f32],
+    ld: usize,
+    m_rem: usize,
+    n_rem: usize,
+) {
+    let mut t = [[0.0f32; NR]; MR];
+    for (i, row) in t.iter_mut().enumerate().take(m_rem) {
+        row[..n_rem].copy_from_slice(&acc[i * ld..i * ld + n_rem]);
+    }
+    fma_tile::<MR, NR>(apanel, bpanel, kc, &mut t);
+    for (i, row) in t.iter().enumerate().take(m_rem) {
+        acc[i * ld..i * ld + n_rem].copy_from_slice(&row[..n_rem]);
+    }
+}
+
+/// Accumulates the `m×cols` column block of `C` at column `j0` into `acc`
+/// (row stride `ld`): `B` is read in `kc_max×cols` blocks, packed into a
+/// thread-local buffer, and each `kc×NR` panel stays in L1 while every
+/// row panel of `apack` consumes it.
+#[allow(clippy::too_many_arguments)]
+fn skinny_block<const MR: usize, const NR: usize>(
+    apack: &[f32],
+    b: &[f32],
+    tb: Trans,
+    (m, k, n): (usize, usize, usize),
+    (kc_max, ld): (usize, usize),
+    j0: usize,
+    cols: usize,
+    acc: &mut [f32],
+) {
+    let panels = cols.div_ceil(NR);
+    let mut bpack = scratch::take(panels * NR * kc_max.min(k));
+    for kb in (0..k).step_by(kc_max) {
+        let kc = kc_max.min(k - kb);
+        let bblock = &mut bpack[..panels * NR * kc];
+        pack_rhs(b, tb, k, n, (kb, kc), (j0, cols), NR, bblock);
+        for (pj, bpanel) in bblock.chunks(NR * kc).enumerate() {
+            let jp = pj * NR;
+            for ip in (0..m).step_by(MR) {
+                let apanel = &apack[ip * k + kb * MR..][..MR * kc];
+                skinny_tile::<MR, NR>(
+                    apanel,
+                    bpanel,
+                    kc,
+                    &mut acc[ip * ld + jp..],
+                    ld,
+                    MR.min(m - ip),
+                    NR.min(cols - jp),
+                );
+            }
+        }
+    }
+    scratch::release(bpack);
+}
+
+/// Accumulates `acc[j] += Σ_p a[p]·b[p][j0 + j]` for a one-row product:
+/// whole contiguous row segments of the row-major `b` stream through an
+/// L1-resident accumulator, and nothing is packed.
+fn stream_block(a: &[f32], b: &[f32], n: usize, j0: usize, acc: &mut [f32]) {
+    for (p, &ap) in a.iter().enumerate() {
+        let brow = &b[p * n + j0..][..acc.len()];
+        for (s, &bv) in acc.iter_mut().zip(brow) {
+            *s = ap.mul_add(bv, *s);
+        }
+    }
+}
+
+/// The skinny-product driver (`m ≤ SKINNY_M`): splits `C` into column
+/// blocks run as parallel tasks, each accumulating its block's f32 sums in
+/// its own slice of a staging buffer, then applies the epilogue in one
+/// pass. A one-row product with row-major `B` streams `b` unpacked
+/// ([`stream_block`]); anything else packs `A` once into `MR`-row panels and
+/// `B` per block ([`skinny_block`]), which also absorbs a transposed `B`.
+#[allow(clippy::too_many_arguments)]
+fn gemm_skinny(
     a: &[f32],
     ta: Trans,
     b: &[f32],
+    tb: Trans,
     c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
+    (m, k, n): (usize, usize, usize),
     ep: Epilogue<'_>,
 ) {
-    let mut accs = scratch::take(m * n);
-    for kb in (0..k).step_by(KC_THIN) {
-        let kend = (kb + KC_THIN).min(k);
+    if m == 0 || n == 0 {
+        return;
+    }
+    // At m = 1, `a` holds the same k values under either layout.
+    let mr = skinny_mr(m);
+    let pa = (m > 1 || tb == Trans::Yes).then(|| PackedLhs::with_mr(a, ta, m, k, mr));
+    // Blocks narrow to give every worker one when `n` is small. A one-row
+    // product is bound by reading `b`, fastest in the longest contiguous
+    // row segments, so it gets exactly one block per worker. Every element
+    // is computed the same way under any split.
+    let per_worker = n
+        .div_ceil(rayon::current_num_threads())
+        .next_multiple_of(NR_MAX);
+    let (kc, nc) = match (&pa, tb) {
+        (None, _) => (k, per_worker.max(MIN_STREAM)),
+        (Some(_), Trans::No) => (BLOCK_ROWS.0, BLOCK_ROWS.1.min(per_worker)),
+        (Some(_), Trans::Yes) => (BLOCK_TRANS.0, BLOCK_TRANS.1.min(per_worker)),
+    };
+    // A product narrower than one block is a single block of `n` columns.
+    let nc = nc.min(n);
+    let tile = (mr, select_nr(n));
+    let run = |blk: usize, acc: &mut [f32]| {
+        let j0 = blk * nc;
+        let cols = nc.min(n - j0);
+        match &pa {
+            Some(pa) => with_tile!(
+                tile,
+                skinny_block(&pa.buf, b, tb, (m, k, n), (kc, nc), j0, cols, acc)
+            ),
+            None => stream_block(a, b, n, j0, &mut acc[..cols]),
+        }
+    };
+    let mut staging = scratch::take(n.div_ceil(nc) * m * nc);
+    if m * n * k < PAR_WORK {
+        staging
+            .chunks_mut(m * nc)
+            .enumerate()
+            .for_each(|(i, s)| run(i, s));
+    } else {
+        staging
+            .par_chunks_mut(m * nc)
+            .enumerate()
+            .for_each(|(i, s)| run(i, s));
+    }
+    for (blk, acc) in staging.chunks(m * nc).enumerate() {
+        let j0 = blk * nc;
+        let cols = nc.min(n - j0);
         for i in 0..m {
-            let acc = &mut accs[i * n..(i + 1) * n];
-            for p in kb..kend {
-                let ai = match ta {
-                    Trans::No => a[i * k + p],
-                    Trans::Yes => a[p * m + i],
-                };
-                let brow = &b[p * n..(p + 1) * n];
-                for (av, &bv) in acc.iter_mut().zip(brow.iter()) {
-                    *av = ai.mul_add(bv, *av);
-                }
-            }
+            write_back(ep, &mut c[i * n + j0..][..cols], &acc[i * nc..], i, j0);
         }
     }
-    for (i, acc) in accs.chunks(n.max(1)).enumerate().take(m) {
-        let crow = &mut c[i * n..(i + 1) * n];
-        match ep {
-            Epilogue::Store => crow.copy_from_slice(acc),
-            Epilogue::Accumulate => {
-                for (cv, &v) in crow.iter_mut().zip(acc.iter()) {
-                    *cv += v;
-                }
-            }
-            Epilogue::BiasCols(bias) => {
-                for ((cv, &v), &bj) in crow.iter_mut().zip(acc.iter()).zip(bias.iter()) {
-                    *cv = v + bj;
-                }
-            }
-            Epilogue::BiasColsRelu(bias) => {
-                for ((cv, &v), &bj) in crow.iter_mut().zip(acc.iter()).zip(bias.iter()) {
-                    let y = v + bj;
-                    *cv = if y > 0.0 { y } else { 0.0 };
-                }
-            }
-            Epilogue::BiasRows(bias) => {
-                let bi = bias[i];
-                for (cv, &v) in crow.iter_mut().zip(acc.iter()) {
-                    *cv = v + bi;
-                }
-            }
-            Epilogue::BiasRowsRelu(bias) => {
-                let bi = bias[i];
-                for (cv, &v) in crow.iter_mut().zip(acc.iter()) {
-                    let y = v + bi;
-                    *cv = if y > 0.0 { y } else { 0.0 };
-                }
-            }
-        }
-    }
-    scratch::release(accs);
+    scratch::release(staging);
+}
+
+/// Panics with the operand name unless a buffer has the length its
+/// dimensions imply.
+fn check_len(what: &str, len: usize, want: usize) {
+    assert_eq!(len, want, "{what} buffer is {len} but expected {want}");
 }
 
 /// General packed GEMM: `C[m×n] ←(ep) op(A)·op(B)` where `a` stores `A`
@@ -548,31 +636,12 @@ pub fn gemm_ep(
 ) {
     let _span = dcd_obs::span("gemm", dcd_obs::Category::Gemm);
     dcd_obs::counter!("gemm.flops").add(2 * (m * k * n) as u64);
-    let thin = m <= THIN_M || (m <= THIN_M_BIG_RHS && k * n >= BIG_RHS);
-    if thin && tb == Trans::No {
-        assert_eq!(
-            a.len(),
-            m * k,
-            "A buffer is {} but m*k = {}",
-            a.len(),
-            m * k
-        );
-        assert_eq!(
-            b.len(),
-            k * n,
-            "B buffer is {} but k*n = {}",
-            b.len(),
-            k * n
-        );
-        assert_eq!(
-            c.len(),
-            m * n,
-            "C buffer is {} but m*n = {}",
-            c.len(),
-            m * n
-        );
+    if m <= SKINNY_M {
+        check_len("A", a.len(), m * k);
+        check_len("B", b.len(), k * n);
+        check_len("C", c.len(), m * n);
         ep.check(m, n);
-        gemm_thin(a, ta, b, c, m, k, n, ep);
+        gemm_skinny(a, ta, b, tb, c, (m, k, n), ep);
         return;
     }
     let pa = PackedLhs::pack(a, ta, m, k);
@@ -832,20 +901,48 @@ mod tests {
     }
 
     #[test]
-    fn thin_matches_tiled_bitwise() {
-        // m ≤ THIN_M routes through the axpy path; the tiled kernel run on
-        // the same inputs (via a pre-packed LHS, which always tiles) must
-        // agree to the bit — both are one fma chain per element.
+    fn skinny_matches_tiled_bitwise() {
+        // m ≤ SKINNY_M routes through the column-parallel skinny driver; the
+        // tiled kernel run on the same inputs (via a pre-packed LHS, which
+        // always tiles) must agree to the bit — both are one fma chain per
+        // element. k = 805 spans several KC blocks of either B layout and
+        // ends in a ragged one; n is ragged against NR and the column block
+        // width of either layout.
         let mut rng = SeededRng::new(14);
-        for &(m, k, n) in &[(1, 5376, 64), (4, 37, 21), (8, 100, 33)] {
-            let a: Vec<f32> = (0..m * k).map(|_| rng.normal()).collect();
-            let b: Vec<f32> = (0..k * n).map(|_| rng.normal()).collect();
-            let thin = gemm(&a, &b, m, k, n);
-            let pa = PackedLhs::pack(&a, Trans::No, m, k);
-            let mut tiled = vec![0.0f32; m * n];
-            gemm_packed(&pa, &b, Trans::No, &mut tiled, n, Epilogue::Store);
-            for (i, (t, g)) in thin.iter().zip(tiled.iter()).enumerate() {
-                assert_eq!(t.to_bits(), g.to_bits(), "element {i}: {t} vs {g}");
+        let trans = [Trans::No, Trans::Yes];
+        for &m in &[1, 2, 5, 9, 20, 32] {
+            for &(k, n) in &[(805, 300), (300, 1100), (1, 3), (0, 5)] {
+                let a: Vec<f32> = (0..m * k).map(|_| rng.normal()).collect();
+                let b: Vec<f32> = (0..k * n).map(|_| rng.normal()).collect();
+                let c0: Vec<f32> = (0..m * n).map(|_| rng.normal()).collect();
+                let cols: Vec<f32> = (0..n).map(|_| rng.normal()).collect();
+                let rows: Vec<f32> = (0..m).map(|_| rng.normal()).collect();
+                let eps = [
+                    Epilogue::Store,
+                    Epilogue::Accumulate,
+                    Epilogue::BiasCols(&cols),
+                    Epilogue::BiasColsRelu(&cols),
+                    Epilogue::BiasRows(&rows),
+                    Epilogue::BiasRowsRelu(&rows),
+                ];
+                for (&ta, &tb, ep) in trans
+                    .iter()
+                    .flat_map(|ta| trans.iter().map(move |tb| (ta, tb)))
+                    .flat_map(|(ta, tb)| eps.iter().map(move |&ep| (ta, tb, ep)))
+                {
+                    let mut skinny = c0.clone();
+                    gemm_ep(&a, ta, &b, tb, &mut skinny, m, k, n, ep);
+                    let pa = PackedLhs::pack(&a, ta, m, k);
+                    let mut tiled = c0.clone();
+                    gemm_packed(&pa, &b, tb, &mut tiled, n, ep);
+                    for (i, (s, t)) in skinny.iter().zip(&tiled).enumerate() {
+                        assert_eq!(
+                            s.to_bits(),
+                            t.to_bits(),
+                            "{m}x{k}x{n} {ta:?}/{tb:?} {ep:?} element {i}: {s} vs {t}"
+                        );
+                    }
+                }
             }
         }
     }

@@ -98,6 +98,31 @@ fn gemm_bias_relu_parallel_matches_sequential_bitwise() {
 }
 
 #[test]
+fn skinny_gemm_parallel_matches_sequential_bitwise() {
+    pin_threads();
+    // Fully-connected shapes at batch 1 and 32 with k·n = 2048·1040 ≥ 2²¹:
+    // the skinny driver splits C into column blocks across the pool (the
+    // last one ragged). At m = 1 it streams row-major B unpacked; at m = 32,
+    // and for the transposed B of `gemm_bt`, it packs B per block.
+    let (k, n) = (2048, 1040);
+    let mut rng = SeededRng::new(61);
+    for m in [1, 32] {
+        let a = Tensor::randn([m, k], 0.0, 1.0, &mut rng);
+        let b = Tensor::randn([k, n], 0.0, 1.0, &mut rng);
+        let bias = Tensor::randn([n], 0.0, 0.5, &mut rng);
+        let fwd = || gemm_bias_relu(a.data(), b.data(), bias.data(), m, k, n);
+        let par = fwd();
+        let seq = rayon::force_sequential(fwd);
+        assert_bits_eq(&par, &seq, &format!("gemm_bias_relu {m}x{k}x{n}"));
+        // The same buffer read as Bᵀ stored [n, k].
+        let bwd = || gemm_bt(a.data(), b.data(), m, k, n);
+        let par = bwd();
+        let seq = rayon::force_sequential(bwd);
+        assert_bits_eq(&par, &seq, &format!("gemm_bt {m}x{k}x{n}"));
+    }
+}
+
+#[test]
 fn conv2d_forward_parallel_matches_sequential_bitwise() {
     pin_threads();
     // Batch > 1 so the per-sample par_chunks split actually splits.

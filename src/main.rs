@@ -97,15 +97,25 @@ fn cmd_train(args: &[String]) {
     println!("checkpoint written to {out}");
 }
 
+/// Reads, parses and validates a checkpoint, naming the file and the
+/// failing step in the error.
+fn load_model(path: &str) -> Result<SppNet, String> {
+    let json = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read checkpoint {path}: {e} (run `train` first)"))?;
+    let ckpt = Checkpoint::from_json(&json)
+        .map_err(|e| format!("checkpoint {path} is not valid checkpoint JSON: {e}"))?;
+    ckpt.load().map_err(|e| format!("checkpoint {path}: {e}"))
+}
+
 fn cmd_scan(args: &[String]) {
     let path = flag(args, "--model").unwrap_or_else(|| "model.json".to_string());
     let seed = parse(args, "--seed", 43u64);
     let threshold = parse(args, "--threshold", 0.6f32);
 
-    let json = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read checkpoint {path}: {e} (run `train` first)"));
-    let ckpt = Checkpoint::from_json(&json).expect("valid checkpoint JSON");
-    let model = ckpt.load().expect("checkpoint matches its architecture");
+    let model = load_model(&path).unwrap_or_else(|e| {
+        eprintln!("drainage-repro scan: {e}");
+        std::process::exit(1);
+    });
     let mut detector = DrainageCrossingDetector::from_model(model);
     detector.threshold = threshold;
     println!("loaded {} from {path}", detector.config().summary());
