@@ -46,6 +46,14 @@ replay=$(cargo run --release -q --offline --locked --manifest-path perfbench/Car
     --workload patch-online --seed 1 --seconds 2 --trace 1)
 tail -1 <<<"$replay" | grep -q '"correct": true'
 
+# The scan shares the conv trunk between overlapping tiles and must stay
+# exact: the traced scene-scan replays every tile patch-wise at paper width
+# and reports correct only if its detections equal scan_scene's.
+echo "== traced scene-scan: shared-trunk scan equals the patch-wise replay =="
+scan=$(cargo run --release -q --offline --locked --manifest-path perfbench/Cargo.toml -- \
+    --workload scene-scan --seed 1 --seconds 2 --trace 1)
+tail -1 <<<"$scan" | grep -q '"correct": true'
+
 echo "== criterion benches compile =="
 cargo bench --workspace --no-run
 

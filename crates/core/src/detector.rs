@@ -62,25 +62,30 @@ impl DrainageCrossingDetector {
     }
 
     /// [`DrainageCrossingDetector::detect_batch`] over an already-assembled
-    /// `[N, C, H, W]` batch tensor — the scan hot path, which reuses one
-    /// batch buffer across tiles instead of stacking per-patch tensors.
+    /// `[N, C, H, W]` batch tensor, which saves stacking per-patch tensors.
     pub fn detect_tensor(&mut self, x: &Tensor) -> Vec<Option<Detection>> {
+        self.detect_from(0, x)
+    }
+
+    /// Thresholded detections from ops `from..` of the model, where `x` is
+    /// the output of op `from - 1` (see [`SppNet::forward_from`]): the scan
+    /// feeds the shared trunk's output to the tail this way.
+    pub fn detect_from(&self, from: usize, x: &Tensor) -> Vec<Option<Detection>> {
         self.model
-            .predict(x)
+            .predict_from(from, x)
             .into_iter()
-            .map(|d| {
-                if d.score >= self.threshold {
-                    Some(d)
-                } else {
-                    None
-                }
-            })
+            .map(|d| (d.score >= self.threshold).then_some(d))
             .collect()
     }
 
     /// Test-set AP at an IoU threshold (paper metric, Eq. 1).
     pub fn average_precision(&mut self, samples: &[Sample], iou_threshold: f32) -> f32 {
         evaluate_batched(&mut self.model, samples, iou_threshold, 20).0
+    }
+
+    /// The underlying model.
+    pub fn model(&self) -> &SppNet {
+        &self.model
     }
 
     /// Mutable access to the underlying model (fine-tuning, lowering).

@@ -7,18 +7,23 @@
 //! them through the CNN (at the batch size the pipeline selected), mapping
 //! detections back to raster coordinates, and de-duplicating with
 //! non-maximum suppression.
+//!
+//! The conv trunk is shared between the overlapping patches: a
+//! [`SharedTrunk`] convolves the scene once and recomputes per patch only
+//! the ring of cells its own zero padding reaches, so a scan returns
+//! exactly what running the detector on each clipped patch would. For
+//! 100-px patches at the default stride that is about a fifth of the
+//! convolution work.
 
 use crate::detector::DrainageCrossingDetector;
 use crate::resilience::{ResilientRunner, RetryPolicy, RunHealth};
-use dcd_geodata::render::clip_patch_into;
 use dcd_gpusim::{DeviceSpec, FaultPlan, Gpu, GpuError};
 use dcd_ios::{
     ios_schedule, lower_sppnet, sequential_schedule, ExecError, IosOptions, StageCostModel,
 };
 use dcd_nn::metrics::iou;
-use dcd_nn::BBox;
+use dcd_nn::{BBox, Detection, SharedTrunk, TrunkError};
 use dcd_tensor::Tensor;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -131,6 +136,30 @@ impl ScanConfig {
         self.obs = obs;
         self
     }
+
+    /// Checks that a scene of shape `dims` can be tiled: `[bands, H, W]`
+    /// with both sides at least one patch, and a positive patch size and
+    /// stride. Whether the patch suits the detector's network is checked
+    /// when the scan plans its trunk.
+    pub fn validate(&self, dims: &[usize]) -> Result<(), ScanError> {
+        let &[_, h, w] = dims else {
+            return Err(ScanError::SceneShape(dims.to_vec()));
+        };
+        if self.patch_size == 0 {
+            return Err(ScanError::ZeroPatch);
+        }
+        if self.stride == 0 {
+            return Err(ScanError::ZeroStride);
+        }
+        if h < self.patch_size || w < self.patch_size {
+            return Err(ScanError::SceneTooSmall {
+                h,
+                w,
+                patch: self.patch_size,
+            });
+        }
+        Ok(())
+    }
 }
 
 /// Greedy non-maximum suppression over scene detections.
@@ -165,18 +194,6 @@ pub fn nms(
     keep
 }
 
-/// Validates the scene shape and returns `(h, w)`.
-fn scene_dims(bands: &Tensor, config: &ScanConfig) -> (usize, usize) {
-    let dims = bands.dims();
-    assert_eq!(dims.len(), 3, "expected [bands, H, W]");
-    let (h, w) = (dims[1], dims[2]);
-    assert!(
-        w >= config.patch_size && h >= config.patch_size,
-        "scene smaller than a patch"
-    );
-    (h, w)
-}
-
 /// Tile centres covering the raster interior at the configured stride.
 fn tile_centers(w: usize, h: usize, config: &ScanConfig) -> Vec<(usize, usize)> {
     let half = config.patch_size / 2;
@@ -199,73 +216,100 @@ fn tile_centers(w: usize, h: usize, config: &ScanConfig) -> Vec<(usize, usize)> 
     centers
 }
 
-/// Runs one chunk of tile centres through the detector, appending raster-space
-/// detections to `raw`.
-///
-/// `batch_buf` is the caller's reusable batch buffer: each patch clips and
-/// normalizes directly into its slot (in parallel across tile centres), the
-/// buffer is loaned to a batch tensor for inference, then reclaimed — so a
-/// whole-scene scan allocates its batch storage once, not once per chunk.
-fn detect_chunk(
-    detector: &mut DrainageCrossingDetector,
-    bands: &Tensor,
-    chunk: &[(usize, usize)],
-    config: &ScanConfig,
-    (h, w): (usize, usize),
-    batch_buf: &mut Vec<f32>,
-    raw: &mut Vec<SceneDetection>,
-) {
-    if chunk.is_empty() {
-        return;
+/// A planned scan: validated geometry, tile centres and the shared trunk.
+struct Scan<'a> {
+    detector: &'a DrainageCrossingDetector,
+    trunk: SharedTrunk<'a>,
+    centers: Vec<(usize, usize)>,
+    /// Each tile's detection, in tile order.
+    found: Vec<Option<SceneDetection>>,
+    batch_buf: Vec<f32>,
+    patch: usize,
+    dims: (usize, usize),
+}
+
+impl<'a> Scan<'a> {
+    fn new(
+        detector: &'a DrainageCrossingDetector,
+        bands: &'a Tensor,
+        config: &ScanConfig,
+    ) -> Result<Scan<'a>, ScanError> {
+        config.validate(bands.dims())?;
+        let (h, w) = (bands.dims()[1], bands.dims()[2]);
+        let centers = tile_centers(w, h, config);
+        let half = config.patch_size / 2;
+        let origins = centers.iter().map(|&(x, y)| (x - half, y - half)).collect();
+        let prep: fn(f32) -> f32 = if config.normalize {
+            |v| (v - 0.5) * 2.0
+        } else {
+            |v| v
+        };
+        let trunk = SharedTrunk::new(detector.model(), bands, config.patch_size, origins, prep)
+            .map_err(ScanError::Trunk)?;
+        Ok(Scan {
+            detector,
+            trunk,
+            found: vec![None; centers.len()],
+            centers,
+            batch_buf: Vec::new(),
+            patch: config.patch_size,
+            dims: (h, w),
+        })
     }
-    let _span = dcd_obs::span("scan.chunk", dcd_obs::Category::Scan);
-    dcd_obs::counter!("scan.patches").add(chunk.len() as u64);
-    let nb = bands.dims()[0];
-    let sample = nb * config.patch_size * config.patch_size;
-    batch_buf.resize(chunk.len() * sample, 0.0);
-    batch_buf
-        .par_chunks_mut(sample)
-        .zip(chunk.par_iter())
-        .for_each(|(dst, &(cx, cy))| {
-            // clip_patch_into writes every element, so stale data from the
-            // previous chunk cannot leak through.
-            clip_patch_into(bands, cx, cy, config.patch_size, dst);
-            if config.normalize {
-                for v in dst.iter_mut() {
-                    *v = (*v - 0.5) * 2.0;
-                }
-            }
-        });
-    let x = Tensor::from_vec(
-        [chunk.len(), nb, config.patch_size, config.patch_size],
-        std::mem::take(batch_buf),
-    )
-    .expect("scan batch tensor");
-    let dets = detector.detect_tensor(&x);
-    *batch_buf = x.into_vec();
-    for (det, &(cx, cy)) in dets.into_iter().zip(chunk) {
-        if let Some(d) = det {
-            // Patch-normalized box → raster coordinates.
-            let ps = config.patch_size as f32;
-            let x = (cx as f32 - ps / 2.0 + d.bbox.cx * ps).round();
-            let y = (cy as f32 - ps / 2.0 + d.bbox.cy * ps).round();
-            if x >= 0.0 && y >= 0.0 && (x as usize) < w && (y as usize) < h {
-                raw.push(SceneDetection {
-                    x: x as usize,
-                    y: y as usize,
-                    score: d.score,
-                    w: (d.bbox.w * ps).max(1.0),
-                    h: (d.bbox.h * ps).max(1.0),
-                });
-            }
+
+    /// Runs the tiles `chunk` (indices into the centres) through the trunk
+    /// and the detector's tail, recording their raster-space detections.
+    fn detect_chunk(&mut self, chunk: &[usize]) {
+        if chunk.is_empty() {
+            return;
         }
+        let _span = dcd_obs::span("scan.chunk", dcd_obs::Category::Scan);
+        dcd_obs::counter!("scan.patches").add(chunk.len() as u64);
+        let x = self
+            .trunk
+            .features(chunk, std::mem::take(&mut self.batch_buf));
+        let tail = self.detector.model().tail_start();
+        let dets = self.detector.detect_from(tail, &x);
+        self.batch_buf = x.into_vec();
+        for (det, &t) in dets.into_iter().zip(chunk) {
+            self.found[t] = det.and_then(|d| self.to_scene(d, self.centers[t]));
+        }
+    }
+
+    /// Maps a patch-normalized detection of the tile centred at `(cx, cy)`
+    /// to raster coordinates; `None` if it falls outside the raster.
+    fn to_scene(&self, d: Detection, (cx, cy): (usize, usize)) -> Option<SceneDetection> {
+        let (h, w) = self.dims;
+        let ps = self.patch as f32;
+        let x = (cx as f32 - ps / 2.0 + d.bbox.cx * ps).round();
+        let y = (cy as f32 - ps / 2.0 + d.bbox.cy * ps).round();
+        (x >= 0.0 && y >= 0.0 && (x as usize) < w && (y as usize) < h).then(|| SceneDetection {
+            x: x as usize,
+            y: y as usize,
+            score: d.score,
+            w: (d.bbox.w * ps).max(1.0),
+            h: (d.bbox.h * ps).max(1.0),
+        })
+    }
+
+    /// NMS and point suppression over the detections, in tile order.
+    fn finish(self, config: &ScanConfig) -> Vec<SceneDetection> {
+        let (h, w) = self.dims;
+        let raw = self.found.into_iter().flatten().collect();
+        suppress_within_radius(nms(raw, w, h, config.nms_iou), config.nms_radius)
     }
 }
 
 /// Scans a rendered scene (`[bands, H, W]` tensor) with the detector.
 ///
 /// Returns NMS-deduplicated detections in raster coordinates, sorted by
-/// descending score.
+/// descending score: exactly those of running the detector on every
+/// clipped (and normalized) tile, computed through a [`SharedTrunk`].
+///
+/// # Panics
+/// With the [`ScanError`] message if `config` does not validate against
+/// the scene ([`ScanConfig::validate`]) or the patch does not fit the
+/// detector's network; [`scan_scene_resilient`] returns these errors.
 pub fn scan_scene(
     detector: &mut DrainageCrossingDetector,
     bands: &Tensor,
@@ -275,23 +319,11 @@ pub fn scan_scene(
         dcd_obs::set_enabled(true);
     }
     let _span = dcd_obs::span("scan.scene", dcd_obs::Category::Scan);
-    let (h, w) = scene_dims(bands, config);
-    let centers = tile_centers(w, h, config);
-    let mut raw: Vec<SceneDetection> = Vec::new();
-    let mut batch_buf: Vec<f32> = Vec::new();
-    for chunk in centers.chunks(config.batch_size.max(1)) {
-        detect_chunk(
-            detector,
-            bands,
-            chunk,
-            config,
-            (h, w),
-            &mut batch_buf,
-            &mut raw,
-        );
+    let mut scan = Scan::new(detector, bands, config).unwrap_or_else(|e| panic!("{e}"));
+    for chunk in scan.trunk.order().chunks(config.batch_size.max(1)) {
+        scan.detect_chunk(chunk);
     }
-    let kept = nms(raw, w, h, config.nms_iou);
-    suppress_within_radius(kept, config.nms_radius)
+    scan.finish(config)
 }
 
 /// Simulated-deployment parameters for [`scan_scene_resilient`].
@@ -372,9 +404,26 @@ pub struct ResilientScanReport {
     pub sim_ns: u64,
 }
 
-/// Why a resilient scan could not complete.
+/// Why a scan could not run or complete.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ScanError {
+    /// The scene is not a `[bands, H, W]` tensor; holds its dims.
+    SceneShape(Vec<usize>),
+    /// The patch size is zero.
+    ZeroPatch,
+    /// The tiling stride is zero.
+    ZeroStride,
+    /// The scene is smaller than one patch.
+    SceneTooSmall {
+        /// Scene height.
+        h: usize,
+        /// Scene width.
+        w: usize,
+        /// Patch side.
+        patch: usize,
+    },
+    /// The scene or patch does not fit the detector's network.
+    Trunk(TrunkError),
     /// The simulated deployment could not even be set up (model does not fit
     /// at batch 1, or a schedule failed validation).
     Setup(ExecError),
@@ -390,6 +439,15 @@ pub enum ScanError {
 impl std::fmt::Display for ScanError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            ScanError::SceneShape(dims) => {
+                write!(f, "expected a [bands, H, W] scene, got dims {dims:?}")
+            }
+            ScanError::ZeroPatch => write!(f, "scan patch size must be positive"),
+            ScanError::ZeroStride => write!(f, "scan stride must be positive"),
+            ScanError::SceneTooSmall { h, w, patch } => {
+                write!(f, "{h}x{w} scene is smaller than a {patch}-px patch")
+            }
+            ScanError::Trunk(e) => write!(f, "scan does not fit the model: {e}"),
             ScanError::Setup(e) => write!(f, "scan setup failed: {e}"),
             ScanError::Exhausted { last, .. } => {
                 write!(f, "scan exhausted recovery options: {last}")
@@ -420,8 +478,7 @@ pub fn scan_scene_resilient(
         dcd_obs::set_enabled(true);
     }
     let _span = dcd_obs::span("scan.scene", dcd_obs::Category::Scan);
-    let (h, w) = scene_dims(bands, config);
-    let centers = tile_centers(w, h, config);
+    let mut scan = Scan::new(detector, bands, config)?;
 
     // Lower the detector's architecture and schedule it both ways.
     let graph = lower_sppnet(detector.config(), (config.patch_size, config.patch_size));
@@ -435,18 +492,16 @@ pub fn scan_scene_resilient(
         ResilientRunner::new(&graph, optimized, fallback, target_batch, gpu, sim.retry)
             .map_err(ScanError::Setup)?;
 
-    // Work queue of tile centres; each iteration takes at most the *current*
+    // Work queue of tiles; each iteration takes at most the *current*
     // batch, so a degraded batch automatically re-chunks the remaining work.
-    let mut queue: VecDeque<(usize, usize)> = centers.into();
-    let mut raw: Vec<SceneDetection> = Vec::new();
-    let mut batch_buf: Vec<f32> = Vec::new();
+    let mut queue: VecDeque<usize> = scan.trunk.order().into();
     let mut sim_ns = 0u64;
-    let mut chunk: Vec<(usize, usize)> = Vec::new();
+    let mut chunk: Vec<usize> = Vec::new();
     while !queue.is_empty() {
         chunk.clear();
         while chunk.len() < runner.batch() {
             match queue.pop_front() {
-                Some(c) => chunk.push(c),
+                Some(t) => chunk.push(t),
                 None => break,
             }
         }
@@ -459,19 +514,10 @@ pub fn scan_scene_resilient(
                 })
             }
         }
-        detect_chunk(
-            detector,
-            bands,
-            &chunk,
-            config,
-            (h, w),
-            &mut batch_buf,
-            &mut raw,
-        );
+        scan.detect_chunk(&chunk);
     }
-    let kept = nms(raw, w, h, config.nms_iou);
     Ok(ResilientScanReport {
-        detections: suppress_within_radius(kept, config.nms_radius),
+        detections: scan.finish(config),
         health: runner.health,
         batch: runner.batch(),
         fell_back: runner.fell_back(),
@@ -623,6 +669,104 @@ mod tests {
         let scan = ScanConfig::for_patch(48).with_batch_size(8).with_stride(24);
         let dets = scan_scene(&mut detector, &bands, &scan);
         assert!(dets.iter().all(|d| d.score.is_finite()));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn validation_rejects_or_bounds_the_tile_count(
+            patch in 0usize..80,
+            stride in 0usize..40,
+            batch in 0usize..40,
+            h in 0usize..200,
+            w in 0usize..200,
+        ) {
+            let config = ScanConfig::for_patch(patch)
+                .with_stride(stride)
+                .with_batch_size(batch);
+            match config.validate(&[4, h, w]) {
+                Err(_) => proptest::prop_assert!(patch == 0 || stride == 0 || h < patch || w < patch),
+                Ok(()) => {
+                    let n = tile_centers(w, h, &config).len();
+                    proptest::prop_assert!(n >= 1 && n <= (h / stride + 1) * (w / stride + 1));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn validation_names_what_is_wrong() {
+        let config = ScanConfig::for_patch(48);
+        assert_eq!(
+            config.validate(&[4, 48]),
+            Err(ScanError::SceneShape(vec![4, 48]))
+        );
+        assert_eq!(config.validate(&[4, 48, 48]), Ok(()));
+        assert_eq!(
+            config.validate(&[4, 47, 100]),
+            Err(ScanError::SceneTooSmall {
+                h: 47,
+                w: 100,
+                patch: 48
+            })
+        );
+        assert_eq!(
+            config.with_stride(0).validate(&[4, 48, 48]),
+            Err(ScanError::ZeroStride)
+        );
+        assert_eq!(
+            ScanConfig::for_patch(0).validate(&[4, 48, 48]),
+            Err(ScanError::ZeroPatch)
+        );
+    }
+
+    fn untrained_detector() -> DrainageCrossingDetector {
+        use dcd_nn::SppNet;
+        let mut arch = SppNetConfig::tiny();
+        arch.in_channels = 4;
+        DrainageCrossingDetector::from_model(SppNet::new(arch, &mut SeededRng::new(5)))
+    }
+
+    #[test]
+    #[should_panic(expected = "scan stride must be positive")]
+    fn scan_scene_panics_with_the_typed_message() {
+        let bands = Tensor::zeros([4, 64, 64]);
+        let scan = ScanConfig::for_patch(48).with_stride(0);
+        scan_scene(&mut untrained_detector(), &bands, &scan);
+    }
+
+    #[test]
+    fn resilient_scan_returns_input_errors() {
+        let mut det = untrained_detector();
+        let sim = SimScanConfig::new().with_device(DeviceSpec::test_gpu());
+        let run = |det: &mut DrainageCrossingDetector, bands: &Tensor, scan: &ScanConfig| {
+            scan_scene_resilient(det, bands, scan, &sim).err()
+        };
+        let scan = ScanConfig::for_patch(48);
+        let bands = Tensor::zeros([4, 64, 64]);
+        assert_eq!(
+            run(&mut det, &bands, &scan.with_stride(0)),
+            Some(ScanError::ZeroStride)
+        );
+        assert_eq!(
+            run(&mut det, &Tensor::zeros([64, 64]), &scan),
+            Some(ScanError::SceneShape(vec![64, 64]))
+        );
+        assert_eq!(
+            run(&mut det, &Tensor::zeros([3, 64, 64]), &scan),
+            Some(ScanError::Trunk(TrunkError::Channels {
+                scene: 3,
+                model: 4
+            }))
+        );
+        assert_eq!(
+            run(&mut det, &bands, &ScanConfig::for_patch(4)),
+            Some(ScanError::Trunk(TrunkError::PatchTooSmall {
+                patch: 4,
+                op: "pool3"
+            }))
+        );
     }
 
     #[test]

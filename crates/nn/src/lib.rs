@@ -21,6 +21,7 @@ pub mod serialize;
 pub mod sgd;
 pub mod sppnet;
 pub mod trainer;
+pub mod trunk;
 
 pub use detect::{BBox, Detection, Sample};
 pub use loss::{bce_with_logits, smooth_l1, softmax_cross_entropy};
@@ -31,3 +32,4 @@ pub use serialize::{Checkpoint, CheckpointError};
 pub use sgd::Sgd;
 pub use sppnet::{ConfigError, SppNet, SppNetConfig};
 pub use trainer::{EpochStats, TrainConfig, Trainer};
+pub use trunk::{SharedTrunk, TrunkError};

@@ -392,10 +392,18 @@ impl SppNet {
     /// yields `-0.0`, which no downstream comparison, sum or sigmoid can
     /// distinguish.
     pub fn forward_inference(&self, x: &Tensor) -> DetectionOutput {
+        self.forward_from(0, x)
+    }
+
+    /// [`SppNet::forward_inference`] from op `from` on, where `x` is the
+    /// output of op `from - 1`. A whole-scene scan computes the conv trunk
+    /// once per scene ([`crate::SharedTrunk`]) and runs only the tail, from
+    /// [`SppNet::tail_start`], per window.
+    pub fn forward_from(&self, from: usize, x: &Tensor) -> DetectionOutput {
         let _span = dcd_obs::span("sppnet.forward_inference", dcd_obs::Category::Nn);
         let mut trunk: Option<Tensor> = None;
         let mut heads = Vec::new();
-        let mut nodes = self.nodes.iter().peekable();
+        let mut nodes = self.nodes[from..].iter().peekable();
         while let Some(node) = nodes.next() {
             let relu = matches!(node.op.kind, OpKind::Conv { .. } | OpKind::Linear { .. })
                 && nodes.next_if(|next| next.op.kind == OpKind::Relu).is_some();
@@ -409,9 +417,33 @@ impl SppNet {
         DetectionOutput::from_heads(heads)
     }
 
+    /// Index of the first op after the conv trunk: the op after the last
+    /// convolution and the ReLU fused into it (`pool3` for SPP-Net).
+    pub fn tail_start(&self) -> usize {
+        let last_conv = self
+            .nodes
+            .iter()
+            .rposition(|node| matches!(node.op.kind, OpKind::Conv { .. }))
+            .expect("the op list has a convolution");
+        match self.nodes.get(last_conv + 1) {
+            Some(next) if next.op.kind == OpKind::Relu => last_conv + 2,
+            _ => last_conv + 1,
+        }
+    }
+
+    /// The nodes, in op-list order.
+    pub(crate) fn nodes(&self) -> &[Node] {
+        &self.nodes
+    }
+
     /// Runs inference on a batch and decodes per-image detections.
     pub fn predict(&mut self, x: &Tensor) -> Vec<Detection> {
-        let out = self.forward_inference(x);
+        self.predict_from(0, x)
+    }
+
+    /// [`SppNet::predict`] through [`SppNet::forward_from`].
+    pub fn predict_from(&self, from: usize, x: &Tensor) -> Vec<Detection> {
+        let out = self.forward_from(from, x);
         let n = out.obj_logits.numel();
         (0..n)
             .map(|i| Detection {
